@@ -184,6 +184,9 @@ pub(crate) enum Json {
 }
 
 struct JsonParser<'a> {
+    /// The document; every position the parser stops at is a char
+    /// boundary (it only steps over ASCII bytes or whole plain-text runs).
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -305,18 +308,16 @@ impl<'a> JsonParser<'a> {
                 }
                 Some(&b) if b < 0x20 => return self.err("control character in string"),
                 Some(_) => {
-                    // Copy one UTF-8 scalar; invalid UTF-8 is an error.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| AggregateError::Syntax {
-                            offset: self.pos,
-                            msg: "invalid UTF-8",
-                        })?;
-                    let c = rest.chars().next().ok_or(AggregateError::Syntax {
-                        offset: self.pos,
-                        msg: "unterminated string",
-                    })?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run of plain characters up to the next
+                    // quote, escape, or control byte as one slice. All three
+                    // stop bytes are ASCII and UTF-8 continuation bytes are
+                    // not, so the run ends on a char boundary.
+                    let start = self.pos;
+                    while matches!(self.bytes.get(self.pos), Some(&b) if b != b'"' && b != b'\\' && b >= 0x20)
+                    {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -393,7 +394,7 @@ impl<'a> JsonParser<'a> {
 
 /// Parse one complete JSON document (trailing garbage is an error).
 pub(crate) fn parse_json(body: &str) -> Result<Json, AggregateError> {
-    let mut p = JsonParser { bytes: body.as_bytes(), pos: 0 };
+    let mut p = JsonParser { text: body, bytes: body.as_bytes(), pos: 0 };
     let value = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
@@ -1650,11 +1651,50 @@ mod tests {
         ));
     }
 
+    /// A multi-megabyte budget partial parses in linear time: string
+    /// decoding must not re-scan the rest of the body per character (it
+    /// once did, making the federated budget merge quadratic in the size
+    /// of each backend's reply).
+    #[test]
+    fn multi_megabyte_budget_partial_parses_in_linear_time() {
+        let spec = spec_json(
+            r#"{"group_by":["region"],"aggregates":[{"op":"count"}],"budget":{"length_m":1000}}"#,
+        );
+        let entry = r#"[0.123456789,104.25,3,1957,"Region Alpha North-East ü"]"#;
+        let n = (4 << 20) / entry.len() + 1;
+        let mut body = String::with_capacity(n * (entry.len() + 1) + 32);
+        body.push_str("{\"candidates\":[");
+        for i in 0..n {
+            if i > 0 {
+                body.push(',');
+            }
+            body.push_str(entry);
+        }
+        body.push_str("]}");
+        assert!(body.len() >= 4 << 20, "{} bytes", body.len());
+        let started = std::time::Instant::now();
+        let partial = parse_partial(&spec, &body).expect("valid partial");
+        let took = started.elapsed();
+        assert_eq!(partial.candidates.as_ref().map(Vec::len), Some(n));
+        assert!(
+            took < std::time::Duration::from_secs(2),
+            "parsing {} bytes took {took:?}",
+            body.len()
+        );
+        // Multi-byte characters survive the run copy intact.
+        let first = &partial.candidates.as_ref().expect("budget mode")[0];
+        assert_eq!(first.region, "Region Alpha North-East ü");
+    }
+
     #[test]
     fn json_parser_handles_escapes_and_rejects_garbage() {
         assert_eq!(
             parse_json(r#""a\"b\\c\u0041\ud83d\ude00""#),
             Ok(Json::Str("a\"b\\cA😀".into()))
+        );
+        assert_eq!(
+            parse_json(r#""héllo \"wörld\" ok""#),
+            Ok(Json::Str("héllo \"wörld\" ok".into()))
         );
         assert_eq!(parse_json("3.5e2"), Ok(Json::Num(350.0)));
         for bad in [

@@ -49,7 +49,7 @@
 //! hung connection (the fault-injection e2e battery drives drops, delays,
 //! truncations, resets, and garbage through all of these paths).
 
-use crate::aggregate::{self, AggregateSpec};
+use crate::aggregate::{self, AggregateSpec, Json};
 use crate::http::{
     self, query_param, render_global_top_k_keys, serve_handler, unknown_region_body_keys,
     RequestHandler, Response, ServerConfig, ServerHandle,
@@ -57,10 +57,9 @@ use crate::http::{
 use crate::metrics::{Metrics, Route};
 use crate::parser::ParsedRequest;
 use crate::reload::sleep_interruptible;
-use crate::scorer::PipeRisk;
+use crate::scorer::RiskSlice;
 use crate::shards::{merge_top_k, region_key, GlobalRisk};
 use crate::ServeError;
-use pipefail_network::ids::PipeId;
 use std::fmt;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -135,41 +134,21 @@ impl FedConfig {
     /// knobs), mirroring `ServerConfig::from_env`: unset or unparsable
     /// values keep the defaults.
     pub fn from_env() -> Self {
+        use crate::knobs::{apply, env, positive_f64, uint};
         let mut cfg = Self::default();
-        if let Some(t) = positive_f64_env(FED_TIMEOUT_ENV) {
-            cfg.request_timeout_secs = t;
-        }
-        if let Some(n) = uint_env(FED_RETRIES_ENV) {
-            cfg.retries = n as usize;
-        }
-        if let Some(n) = uint_env(FED_BACKOFF_ENV) {
-            cfg.backoff_base_ms = n;
-        }
-        if let Some(n) = uint_env(FED_BACKOFF_CAP_ENV) {
-            cfg.backoff_cap_ms = n;
-        }
-        if let Some(n) = uint_env(FED_HEDGE_ENV) {
+        apply(&mut cfg.request_timeout_secs, FED_TIMEOUT_ENV, positive_f64);
+        apply(&mut cfg.retries, FED_RETRIES_ENV, uint);
+        apply(&mut cfg.backoff_base_ms, FED_BACKOFF_ENV, uint);
+        apply(&mut cfg.backoff_cap_ms, FED_BACKOFF_CAP_ENV, uint);
+        if let Some(n) = env(FED_HEDGE_ENV, uint) {
             cfg.hedge_ms = Some(n);
         }
-        if let Some(t) = positive_f64_env(FED_PROBE_ENV) {
-            cfg.probe_secs = t;
-        }
-        if let Some(n) = uint_env(FED_FAIL_THRESHOLD_ENV) {
+        apply(&mut cfg.probe_secs, FED_PROBE_ENV, positive_f64);
+        if let Some(n) = env(FED_FAIL_THRESHOLD_ENV, uint::<u64>) {
             cfg.fail_threshold = (n as u32).max(1);
         }
         cfg
     }
-}
-
-fn positive_f64_env(key: &str) -> Option<f64> {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|t| *t > 0.0)
-}
-
-fn uint_env(key: &str) -> Option<u64> {
-    std::env::var(key).ok().and_then(|v| v.parse::<u64>().ok())
 }
 
 /// Every way a federated request can fail, typed — the status-code mapping
@@ -1003,34 +982,42 @@ fn jitter(ms: u64) -> u64 {
     half + z % (ms - half + 1)
 }
 
-/// Parse the `"results":[…]` entries of a backend `/top` body back into
-/// [`PipeRisk`]s. Scores were serialized with Rust's shortest-round-trip
-/// `f64` formatting, so `parse` recovers the exact bits — re-rendering
-/// after the merge is byte-identical to the in-process path.
-fn parse_top_entries(body: &str) -> Option<Vec<PipeRisk>> {
-    let start = body.find("\"results\":[")? + "\"results\":[".len();
-    let mut rest = &body[start..];
-    let mut entries = Vec::new();
-    loop {
-        rest = rest.trim_start_matches(',');
-        if rest.starts_with(']') {
-            return Some(entries);
+/// Parse a backend `/top` body into parallel id and score columns in rank
+/// order, with the strict JSON reader. Scores were serialized with Rust's
+/// shortest-round-trip `f64` formatting, so the parse recovers the exact
+/// bits — re-rendering after the merge is byte-identical to the
+/// in-process path. Every entry must carry an integral `u32` pipe id, a
+/// score, and its own position as `rank`; anything else is an error
+/// naming the first offending entry.
+fn parse_top_columns(body: &str) -> Result<(Vec<u32>, Vec<f64>), String> {
+    let Json::Obj(fields) = aggregate::parse_json(body).map_err(|e| e.to_string())? else {
+        return Err("not a JSON object".into());
+    };
+    let Some((_, Json::Arr(results))) = fields.iter().find(|(k, _)| k == "results") else {
+        return Err("missing \"results\" array".into());
+    };
+    let mut ids = Vec::with_capacity(results.len());
+    let mut scores = Vec::with_capacity(results.len());
+    for (rank, entry) in results.iter().enumerate() {
+        let Json::Obj(entry) = entry else {
+            return Err(format!("entry {rank} is not an object"));
+        };
+        let num = |key: &str| match entry.iter().find(|(k, _)| k == key) {
+            Some((_, Json::Num(n))) => Ok(*n),
+            _ => Err(format!("entry {rank} has no numeric {key:?}")),
+        };
+        let pipe = num("pipe")?;
+        if pipe.fract() != 0.0 || !(0.0..=f64::from(u32::MAX)).contains(&pipe) {
+            return Err(format!("entry {rank} has pipe id {pipe}, not a u32"));
         }
-        let end = rest.find('}')?;
-        let obj = &rest[..end];
-        let pipe: u32 = field(obj, "\"pipe\":")?.parse().ok()?;
-        let score: f64 = field(obj, "\"score\":")?.parse().ok()?;
-        let rank: usize = field(obj, "\"rank\":")?.parse().ok()?;
-        entries.push(PipeRisk { pipe: PipeId(pipe), score, rank });
-        rest = &rest[end + 1..];
+        let score = num("score")?;
+        if num("rank")? != rank as f64 {
+            return Err(format!("entry {rank} is out of rank order"));
+        }
+        ids.push(pipe as u32);
+        scores.push(score);
     }
-}
-
-fn field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    let at = obj.find(key)? + key.len();
-    let rest = &obj[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
+    Ok((ids, scores))
 }
 
 // ---- the front-end router ----------------------------------------------
@@ -1123,7 +1110,8 @@ impl FederationRouter {
             Err(e) => return e.response(),
         };
         let fed = &self.fed;
-        let results: Vec<Result<Vec<PipeRisk>, FederationError>> = std::thread::scope(|s| {
+        type Columns = (Vec<u32>, Vec<f64>);
+        let results: Vec<Result<Columns, FederationError>> = std::thread::scope(|s| {
             let handles: Vec<_> = fed
                 .backends
                 .iter()
@@ -1136,10 +1124,10 @@ impl FederationRouter {
                                 detail: format!("status {} from /top", reply.status),
                             });
                         }
-                        parse_top_entries(&reply.body).ok_or_else(|| {
+                        parse_top_columns(&reply.body).map_err(|e| {
                             FederationError::BadResponse {
                                 backend: backend.key.clone(),
-                                detail: "unparseable /top body".into(),
+                                detail: format!("unparseable /top body: {e}"),
                             }
                         })
                     })
@@ -1160,7 +1148,7 @@ impl FederationRouter {
         });
 
         let mut keys_escaped = Vec::new();
-        let mut tables: Vec<Vec<PipeRisk>> = Vec::new();
+        let mut tables: Vec<Columns> = Vec::new();
         let mut missing: Vec<String> = Vec::new();
         for (idx, result) in results.into_iter().enumerate() {
             let backend = &fed.backends[idx];
@@ -1188,8 +1176,10 @@ impl FederationRouter {
             .with_header("Retry-After", fed.retry_after_secs().to_string());
         }
         metrics.global_topk();
-        let table_refs: Vec<crate::scorer::RiskSlice<'_>> =
-            tables.iter().map(|t| t.as_slice().into()).collect();
+        let table_refs: Vec<RiskSlice<'_>> = tables
+            .iter()
+            .map(|(ids, scores)| RiskSlice::from_columns(ids, scores))
+            .collect();
         let merged: Vec<GlobalRisk> = merge_top_k(&table_refs, k);
         let body = render_global_top_k_keys(&keys_escaped, &merged, k);
         let response = Response::json(200, body);
@@ -1446,10 +1436,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_top_entries_round_trips_the_rendered_body() {
+    fn parse_top_columns_round_trips_the_rendered_body() {
         use crate::scorer::Scorer;
         use pipefail_core::model::{RiskRanking, RiskScore};
         use pipefail_core::snapshot::Snapshot;
+        use pipefail_network::ids::PipeId;
         let ranking = RiskRanking::new(
             (0..50u32)
                 .map(|i| RiskScore {
@@ -1460,7 +1451,8 @@ mod tests {
         );
         let scorer = Scorer::new(Snapshot::new("DPMHBP", "Region A", 7, &ranking));
         let body = http::render_top_k(&scorer, 20);
-        let parsed = parse_top_entries(&body).expect("parseable");
+        let (ids, scores) = parse_top_columns(&body).expect("parseable");
+        let parsed = RiskSlice::from_columns(&ids, &scores);
         assert_eq!(parsed.len(), 20);
         // Exact bit recovery: shortest-round-trip f64 text → the same f64.
         for (got, want) in parsed.iter().zip(scorer.top_k(20)) {
@@ -1468,10 +1460,50 @@ mod tests {
             assert_eq!(got.score.to_bits(), want.score.to_bits());
             assert_eq!(got.rank, want.rank);
         }
-        // Empty results and garbage are handled, never panic.
-        assert_eq!(parse_top_entries("{\"results\":[]}"), Some(vec![]));
-        assert_eq!(parse_top_entries("{\"nope\":1}"), None);
-        assert_eq!(parse_top_entries("{\"results\":[{\"pipe\":}"), None);
+        // Empty results parse; garbage is a typed error, never a panic.
+        assert_eq!(parse_top_columns("{\"results\":[]}"), Ok((vec![], vec![])));
+        for bad in [
+            "{\"nope\":1}",
+            "{\"results\":[{\"pipe\":}",
+            "[]",
+            "{\"results\":[{\"pipe\":1,\"score\":0.5}]}",
+            "{\"results\":[{\"pipe\":1.5,\"score\":0.5,\"rank\":0}]}",
+            "{\"results\":[{\"pipe\":-1,\"score\":0.5,\"rank\":0}]}",
+            "{\"results\":[{\"pipe\":4294967296,\"score\":0.5,\"rank\":0}]}",
+            "{\"results\":[{\"pipe\":1,\"score\":\"x\",\"rank\":0}]}",
+            "{\"results\":[{\"pipe\":1,\"score\":0.5,\"rank\":1}]}",
+            "{\"results\":[7]}",
+        ] {
+            assert!(parse_top_columns(bad).is_err(), "accepted {bad}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The backend-body reader never panics: not on arbitrary bytes,
+        /// and not on a real `/top` body cut short and with one byte
+        /// overwritten.
+        #[test]
+        fn parse_top_columns_never_panics(
+            noise in proptest::collection::vec(0u16..256, 0..257),
+            cut in 0usize..400,
+            at in 0usize..400,
+            byte in 0u16..256,
+        ) {
+            let raw: Vec<u8> = noise.iter().map(|b| *b as u8).collect();
+            let _ = parse_top_columns(&String::from_utf8_lossy(&raw));
+            let body = concat!(
+                r#"{"model":"DPMHBP","region":"Region A","k":3,"results":["#,
+                r#"{"pipe":7,"score":0.9,"rank":0},{"pipe":2,"score":0.5,"rank":1},"#,
+                r#"{"pipe":11,"score":0.25,"rank":2}]}"#
+            );
+            let mut mutated = body.as_bytes()[..cut.min(body.len())].to_vec();
+            if let Some(b) = mutated.get_mut(at) {
+                *b = byte as u8;
+            }
+            let _ = parse_top_columns(&String::from_utf8_lossy(&mutated));
+        }
     }
 
     #[test]

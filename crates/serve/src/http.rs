@@ -1,17 +1,18 @@
 //! A minimal hand-rolled HTTP/1.1 server for the scoring engine.
 //!
-//! No async runtime, no HTTP crate — a `std::net::TcpListener`, an accept
-//! thread, and a fixed pool of worker threads draining a channel, in the
-//! same spirit as the workspace's hand-rolled CSV and SVG writers. Each
-//! connection is served by a keep-alive loop: requests are parsed
-//! incrementally off one buffer (pipelined requests included) by
-//! [`crate::parser`], responses carry exact `Content-Length` framing so the
-//! socket can be reused, and the `Connection: close` / `keep-alive` headers
-//! are honored with HTTP/1.0-vs-1.1 defaulting. A per-connection request
-//! cap and an idle timeout (the `PIPEFAIL_HTTP_KEEPALIVE_REQS` /
-//! `PIPEFAIL_HTTP_IDLE_SECS` knobs) bound how long one client can hold a
-//! worker, following the same `PIPEFAIL_*` environment-knob idiom as the
-//! experiment runner's wall-clock budgets.
+//! No async runtime, no HTTP crate — one epoll event-loop thread owns
+//! every socket (`event_loop`, Linux only) and a fixed pool of worker
+//! threads does the CPU-bound scoring, in the same spirit as the
+//! workspace's hand-rolled CSV and SVG writers. Requests are parsed
+//! incrementally off each connection's buffer (pipelined requests
+//! included) by [`crate::parser`], responses carry exact `Content-Length`
+//! framing so the socket can be reused, and the `Connection: close` /
+//! `keep-alive` headers are honored with HTTP/1.0-vs-1.1 defaulting. A
+//! per-connection request cap and an idle timeout (the
+//! `PIPEFAIL_HTTP_KEEPALIVE_REQS` / `PIPEFAIL_HTTP_IDLE_SECS` knobs) bound
+//! how long one client can hold a connection, following the same
+//! `PIPEFAIL_*` environment-knob idiom as the experiment runner's
+//! wall-clock budgets.
 //!
 //! When watched snapshot paths are configured, a watcher thread
 //! ([`crate::reload`]) polls them and hot-swaps each shard's scorer on
@@ -34,7 +35,7 @@
 
 use crate::aggregate::{self, AggregateSpec};
 use crate::metrics::{Metrics, Route};
-use crate::parser::{self, ParseOutcome, ParsedRequest};
+use crate::parser::ParsedRequest;
 use crate::reload;
 use crate::scorer::{PipeRisk, Query, QueryResult, RiskSlice, Scorer};
 use crate::shards::{GlobalRisk, ShardSet};
@@ -47,10 +48,9 @@ use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Environment variable: per-request socket timeout in seconds (same
 /// parsing rules as `PIPEFAIL_MODEL_BUDGET_SECS` — positive float, bad
@@ -72,22 +72,14 @@ pub const HTTP_IDLE_ENV: &str = "PIPEFAIL_HTTP_IDLE_SECS";
 /// (`0`/unset = reloading off).
 pub const HTTP_RELOAD_ENV: &str = "PIPEFAIL_HTTP_RELOAD_SECS";
 
-/// Environment variable: connection-core selection — `epoll` (the default
-/// on Linux: one event-loop thread multiplexes every connection, workers
-/// only score) or `threads` (thread-per-connection over the worker pool;
-/// the only core on non-Linux platforms). Unknown values keep the
-/// platform default.
-pub const HTTP_CORE_ENV: &str = "PIPEFAIL_HTTP_CORE";
-
-/// Environment variable: maximum concurrently open connections under the
-/// epoll core (`0` = unlimited). At the cap the longest-idle keep-alive
-/// connection is shed; when nothing is sheddable, new connections get
-/// `429` + `Retry-After`.
+/// Environment variable: maximum concurrently open connections (`0` =
+/// unlimited). At the cap the longest-idle keep-alive connection is shed;
+/// when nothing is sheddable, new connections get `429` + `Retry-After`.
 pub const HTTP_MAX_CONNS_ENV: &str = "PIPEFAIL_HTTP_MAX_CONNS";
 
 /// Environment variable: maximum requests simultaneously in flight at the
-/// worker pool under the epoll core (`0` = unbounded); excess parsed
-/// requests are answered `429` + `Retry-After` without queueing.
+/// worker pool (`0` = unbounded); excess parsed requests are answered
+/// `429` + `Retry-After` without queueing.
 pub const HTTP_INFLIGHT_ENV: &str = "PIPEFAIL_HTTP_INFLIGHT";
 
 /// Environment variable: result-cache switch — `off`/`0`/`false` disables
@@ -100,34 +92,6 @@ pub const CACHE_ENV: &str = "PIPEFAIL_CACHE";
 /// shards; default 64 MiB). Bodies, keys, and fixed per-entry overhead
 /// all count; least-recently-used entries are evicted past the budget.
 pub const CACHE_BYTES_ENV: &str = "PIPEFAIL_CACHE_BYTES";
-
-/// Which connection core drives the accept/read/write path. Both cores
-/// share the parser, router, worker pool, metrics, and response framing,
-/// and answer byte-identically (proptest-asserted in
-/// `tests/epoll_core.rs`); they differ only in how sockets are
-/// multiplexed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HttpCore {
-    /// Event-driven core: a single epoll loop owns every socket,
-    /// dispatching parsed requests to the worker pool and draining
-    /// response buffers on writability. Scales to thousands of idle
-    /// keep-alive connections; Linux only.
-    Epoll,
-    /// Thread-per-connection core: each accepted socket pins one worker
-    /// for its keep-alive lifetime.
-    Threads,
-}
-
-impl Default for HttpCore {
-    /// Epoll on Linux, threads elsewhere.
-    fn default() -> Self {
-        if cfg!(target_os = "linux") {
-            HttpCore::Epoll
-        } else {
-            HttpCore::Threads
-        }
-    }
-}
 
 /// Server configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -156,14 +120,11 @@ pub struct ServerConfig {
     /// Snapshot file watched for hot-reload (usually the file the scorer
     /// was loaded from).
     pub snapshot_path: Option<PathBuf>,
-    /// Connection core ([`HttpCore`]); non-Linux platforms always resolve
-    /// to [`HttpCore::Threads`].
-    pub core: HttpCore,
-    /// Maximum open connections (epoll core; `0` = unlimited). See
+    /// Maximum open connections (`0` = unlimited). See
     /// [`HTTP_MAX_CONNS_ENV`].
     pub max_connections: usize,
-    /// Maximum in-flight requests at the workers (epoll core; `0` =
-    /// unbounded). See [`HTTP_INFLIGHT_ENV`].
+    /// Maximum in-flight requests at the workers (`0` = unbounded). See
+    /// [`HTTP_INFLIGHT_ENV`].
     pub max_inflight: usize,
     /// Whether the epoch-keyed result cache stores rendered responses
     /// (see [`CACHE_ENV`]). Off still answers `ETag`/`304`/`HEAD`
@@ -184,7 +145,6 @@ impl Default for ServerConfig {
             max_request_bytes: 64 * 1024,
             reload_poll_secs: 0.0,
             snapshot_path: None,
-            core: HttpCore::default(),
             max_connections: 8192,
             max_inflight: 4096,
             cache: true,
@@ -199,65 +159,17 @@ impl ServerConfig {
     /// [`HTTP_RELOAD_ENV`]), mirroring `RetryPolicy::from_env`: unset or
     /// unparsable values keep the defaults, timeouts must be positive.
     pub fn from_env() -> Self {
+        use crate::knobs::{apply, non_negative_f64, positive_f64, positive_usize, switch, uint};
         let mut cfg = Self::default();
-        if let Some(t) = positive_f64_env(HTTP_TIMEOUT_ENV) {
-            cfg.request_timeout_secs = t;
-        }
-        if let Some(t) = positive_f64_env(HTTP_IDLE_ENV) {
-            cfg.idle_timeout_secs = t;
-        }
-        if let Some(w) = std::env::var(HTTP_WORKERS_ENV)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            cfg.workers = w;
-        }
-        if let Some(n) = std::env::var(HTTP_KEEPALIVE_REQS_ENV)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            cfg.keepalive_requests = n;
-        }
-        if let Some(t) = std::env::var(HTTP_RELOAD_ENV)
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .filter(|t| *t >= 0.0)
-        {
-            cfg.reload_poll_secs = t;
-        }
-        if let Ok(v) = std::env::var(HTTP_CORE_ENV) {
-            match v.to_ascii_lowercase().as_str() {
-                "epoll" => cfg.core = HttpCore::Epoll,
-                "threads" => cfg.core = HttpCore::Threads,
-                _ => {} // unknown value keeps the platform default
-            }
-        }
-        if let Some(n) = std::env::var(HTTP_MAX_CONNS_ENV)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            cfg.max_connections = n;
-        }
-        if let Some(n) = std::env::var(HTTP_INFLIGHT_ENV)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            cfg.max_inflight = n;
-        }
-        if let Ok(v) = std::env::var(CACHE_ENV) {
-            match v.to_ascii_lowercase().as_str() {
-                "off" | "0" | "false" => cfg.cache = false,
-                "on" | "1" | "true" => cfg.cache = true,
-                _ => {} // unknown value keeps the default (on)
-            }
-        }
-        if let Some(n) = std::env::var(CACHE_BYTES_ENV)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|n| *n > 0)
-        {
-            cfg.cache_bytes = n;
-        }
+        apply(&mut cfg.request_timeout_secs, HTTP_TIMEOUT_ENV, positive_f64);
+        apply(&mut cfg.idle_timeout_secs, HTTP_IDLE_ENV, positive_f64);
+        apply(&mut cfg.workers, HTTP_WORKERS_ENV, uint);
+        apply(&mut cfg.keepalive_requests, HTTP_KEEPALIVE_REQS_ENV, uint);
+        apply(&mut cfg.reload_poll_secs, HTTP_RELOAD_ENV, non_negative_f64);
+        apply(&mut cfg.max_connections, HTTP_MAX_CONNS_ENV, uint);
+        apply(&mut cfg.max_inflight, HTTP_INFLIGHT_ENV, uint);
+        apply(&mut cfg.cache, CACHE_ENV, switch);
+        apply(&mut cfg.cache_bytes, CACHE_BYTES_ENV, positive_usize);
         cfg
     }
 
@@ -273,16 +185,6 @@ impl ServerConfig {
         self
     }
 
-    /// The connection core actually used: the configured one, except that
-    /// epoll only exists on Linux — everywhere else resolves to threads.
-    pub fn resolved_core(&self) -> HttpCore {
-        if cfg!(target_os = "linux") {
-            self.core
-        } else {
-            HttpCore::Threads
-        }
-    }
-
     pub(crate) fn resolved_workers(&self) -> usize {
         if self.workers > 0 {
             self.workers
@@ -295,13 +197,6 @@ impl ServerConfig {
                 .clamp(2, 8)
         }
     }
-}
-
-fn positive_f64_env(key: &str) -> Option<f64> {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|t| *t > 0.0)
 }
 
 /// Everything a worker needs to answer queries: the (hot-swappable)
@@ -379,7 +274,8 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     metrics: Arc<Metrics>,
-    accept: Option<JoinHandle<()>>,
+    /// The epoll loop thread; it owns the listener.
+    event_loop: Option<JoinHandle<()>>,
     /// Auxiliary shutdown-aware threads joined on stop: the reload watcher
     /// (local serving) or the backend health prober (federation).
     background: Vec<JoinHandle<()>>,
@@ -406,9 +302,9 @@ impl ServerHandle {
 
     fn stop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection.
+        // Wake the event loop's accept with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept.take() {
+        if let Some(h) = self.event_loop.take() {
             let _ = h.join();
         }
         for h in self.background.drain(..) {
@@ -465,7 +361,7 @@ pub(crate) fn retry_after_secs(reload_poll_secs: f64) -> u64 {
     }
 }
 
-/// Bind, spawn the accept thread, worker pool, and (when configured) the
+/// Bind, spawn the event loop, worker pool, and (when configured) the
 /// snapshot-reload watcher, and return immediately.
 pub fn serve(ctx: Arc<ServeContext>, config: &ServerConfig) -> Result<ServerHandle, ServeError> {
     let any_shard_path = ctx.shards().shards().iter().any(|s| s.path().is_some());
@@ -481,8 +377,7 @@ pub fn serve(ctx: Arc<ServeContext>, config: &ServerConfig) -> Result<ServerHand
         ctx: Arc::clone(&ctx),
         retry_after_secs: retry_after_secs(config.reload_poll_secs),
     });
-    // The result cache fronts the router on both connection cores; it is
-    // always installed so ETag/304/HEAD behaviour never depends on the
+    // The result cache fronts the router; it is always installed so ETag/304/HEAD behaviour never depends on the
     // PIPEFAIL_CACHE knob.
     let handler = Arc::new(crate::cache::CachingHandler::new(
         router,
@@ -507,10 +402,11 @@ pub fn serve(ctx: Arc<ServeContext>, config: &ServerConfig) -> Result<ServerHand
     })
 }
 
-/// The handler-generic server core: bind, spawn the accept thread and
-/// worker pool around `handler`, start any `background` threads (reload
-/// watcher, health prober) wired to the shutdown switch, and return
-/// immediately.
+/// The handler-generic server core: bind, spawn the epoll event loop and
+/// its worker pool around `handler`, start any `background` threads
+/// (reload watcher, health prober) wired to the shutdown switch, and
+/// return immediately. Serving needs epoll, so every other platform gets
+/// [`ServeError::UnsupportedPlatform`].
 pub(crate) fn serve_handler(
     handler: Arc<dyn RequestHandler>,
     metrics: Arc<Metrics>,
@@ -527,219 +423,38 @@ pub(crate) fn serve_handler(
             "idle_timeout_secs must be positive".into(),
         ));
     }
-    // SO_REUSEADDR-before-bind: a restarted server (or a test re-binding a
-    // just-freed port) never flakes on EADDRINUSE from TIME_WAIT.
-    let listener = crate::sys::bind_reuseaddr(&config.addr)
-        .map_err(|e| ServeError::Io(format!("bind {}: {e}", config.addr)))?;
-    let addr = listener.local_addr()?;
-    let shutdown = Arc::new(AtomicBool::new(false));
-
+    #[cfg(not(target_os = "linux"))]
+    {
+        let _ = (handler, metrics, background);
+        Err(ServeError::UnsupportedPlatform(std::env::consts::OS))
+    }
     #[cfg(target_os = "linux")]
-    if config.resolved_core() == HttpCore::Epoll {
+    {
+        // SO_REUSEADDR-before-bind: a restarted server (or a test
+        // re-binding a just-freed port) never flakes on EADDRINUSE from
+        // TIME_WAIT.
+        let listener = crate::sys::bind_reuseaddr(&config.addr)
+            .map_err(|e| ServeError::Io(format!("bind {}: {e}", config.addr)))?;
+        let addr = listener.local_addr()?;
+        let shutdown = Arc::new(AtomicBool::new(false));
         let background = background(&shutdown);
         let (loop_thread, workers) = crate::event_loop::spawn(
-            Arc::clone(&handler),
+            handler,
             Arc::clone(&metrics),
             config,
             listener,
             Arc::clone(&shutdown),
         )
         .map_err(|e| ServeError::Io(format!("event loop: {e}")))?;
-        return Ok(ServerHandle {
+        Ok(ServerHandle {
             addr,
             shutdown,
             metrics,
-            // The loop thread owns the listener and exits on the same
-            // shutdown poke as a threaded accept loop.
-            accept: Some(loop_thread),
+            event_loop: Some(loop_thread),
             background,
             workers,
-        });
+        })
     }
-
-    let (tx, rx) = mpsc::channel::<TcpStream>();
-    let rx = Arc::new(Mutex::new(rx));
-    let mut workers = Vec::with_capacity(config.resolved_workers());
-    for _ in 0..config.resolved_workers() {
-        let rx = Arc::clone(&rx);
-        let handler = Arc::clone(&handler);
-        let metrics = Arc::clone(&metrics);
-        let config = config.clone();
-        workers.push(std::thread::spawn(move || loop {
-            // Hold the lock only for the dequeue; recover from a poisoned
-            // lock (a panicking sibling) rather than dying with it.
-            let stream = {
-                let guard = rx.lock().unwrap_or_else(|p| p.into_inner());
-                guard.recv()
-            };
-            match stream {
-                Ok(stream) => handle_connection(stream, handler.as_ref(), &metrics, &config),
-                Err(_) => break, // sender dropped: accept loop has exited
-            }
-        }));
-    }
-
-    let background = background(&shutdown);
-
-    let accept_shutdown = Arc::clone(&shutdown);
-    let accept = std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            if accept_shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            if let Ok(stream) = stream {
-                // Request/response on one socket is latency-bound, not
-                // throughput-bound: disable Nagle so small frames leave
-                // immediately instead of waiting out a delayed ACK.
-                stream.set_nodelay(true).ok();
-                // A send can only fail if every worker died; stop accepting.
-                if tx.send(stream).is_err() {
-                    break;
-                }
-            }
-        }
-        // `tx` drops here; workers drain the queue and exit.
-    });
-
-    Ok(ServerHandle {
-        addr,
-        shutdown,
-        metrics,
-        accept: Some(accept),
-        background,
-        workers,
-    })
-}
-
-/// The keep-alive connection loop: parse as many requests as the buffer
-/// holds (pipelining), answer each with exact `Content-Length` framing,
-/// and keep reading until the client closes, asks for `Connection: close`,
-/// hits the per-connection request cap, idles past the idle timeout, or
-/// breaks framing.
-fn handle_connection(
-    mut stream: TcpStream,
-    handler: &dyn RequestHandler,
-    metrics: &Metrics,
-    config: &ServerConfig,
-) {
-    let request_timeout = Duration::from_secs_f64(config.request_timeout_secs);
-    let idle_timeout = Duration::from_secs_f64(config.idle_timeout_secs);
-    let _ = stream.set_write_timeout(Some(request_timeout));
-    metrics.conn_opened();
-
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    // One response-frame buffer for the connection's whole keep-alive
-    // lifetime: every response renders into it and is written with one
-    // syscall, so the steady state (cache hits especially) allocates no
-    // frame memory per request.
-    let mut frame: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 4096];
-    let mut served: usize = 0;
-    // Cumulative per-request deadline: armed at the first byte of a
-    // request and *not* extended by later reads, so a client dribbling one
-    // byte at a time cannot hold a worker past the request timeout
-    // (slow-loris); the per-read socket timeout below is always the
-    // *remaining* budget, never a fresh one.
-    let mut request_started: Option<Instant> = None;
-
-    'conn: loop {
-        // Drain every complete request already buffered before reading
-        // again — pipelined requests are answered back-to-back.
-        loop {
-            match parser::parse_request(&buf, config.max_request_bytes) {
-                Ok(ParseOutcome::Complete(req, consumed)) => {
-                    buf.drain(..consumed);
-                    // Leftover bytes are the next pipelined request; its
-                    // deadline starts now. An empty buffer disarms it.
-                    request_started = if buf.is_empty() { None } else { Some(Instant::now()) };
-                    served += 1;
-                    if served > 1 {
-                        metrics.keepalive_reuse();
-                    }
-                    let started = Instant::now();
-                    let (route, mut response) = handler.handle(&req, metrics);
-                    let at_cap =
-                        config.keepalive_requests > 0 && served >= config.keepalive_requests;
-                    response.close = !req.wants_keep_alive() || at_cap;
-                    // Observe before writing: a client that has read this
-                    // response must already see it counted in `/metrics`.
-                    // Health probes count in their own side counter so a
-                    // federation front-end polling `/healthz` every second
-                    // doesn't drown the request series.
-                    if route == Route::Healthz {
-                        metrics.healthz();
-                    } else {
-                        metrics.observe(route, response.status, started.elapsed());
-                    }
-                    let wrote = response.write_with(&mut frame, &mut stream);
-                    if response.close || wrote.is_err() {
-                        break 'conn;
-                    }
-                }
-                Ok(ParseOutcome::Incomplete) => break,
-                Err(e) => {
-                    // Broken framing: the rest of the byte stream cannot be
-                    // trusted to align with another request. Answer once,
-                    // then drop the connection.
-                    let mut response =
-                        Response::json(e.status(), format!("{{\"error\":{}}}", json_str(&e.to_string())));
-                    response.close = true;
-                    metrics.observe(Route::Other, response.status, Duration::ZERO);
-                    let _ = response.write_to(&mut stream);
-                    break 'conn;
-                }
-            }
-        }
-
-        // Need more bytes. Between requests the idle-timeout budget
-        // applies; mid-request, whatever is left of the cumulative
-        // request budget does.
-        let timeout = match request_started {
-            None => idle_timeout,
-            Some(t0) => match request_timeout.checked_sub(t0.elapsed()) {
-                Some(left) if !left.is_zero() => left,
-                _ => {
-                    // Budget already exhausted by dribbled reads.
-                    answer_request_timeout(&mut stream, metrics, request_timeout);
-                    break;
-                }
-            },
-        };
-        let _ = stream.set_read_timeout(Some(timeout));
-        // EINTR-retrying read: a signal landing mid-read must not tear
-        // down a healthy connection.
-        match crate::sys::read_retry(&mut stream, &mut chunk) {
-            Ok(0) => break, // client closed
-            Ok(n) => {
-                if request_started.is_none() {
-                    request_started = Some(Instant::now());
-                }
-                buf.extend_from_slice(&chunk[..n]);
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if request_started.is_some() {
-                    // Stalled mid-request: tell the client before hanging up.
-                    answer_request_timeout(&mut stream, metrics, request_timeout);
-                }
-                // Idle keep-alive expiry closes quietly: nothing was asked.
-                break;
-            }
-            Err(_) => break,
-        }
-    }
-    metrics.conn_closed();
-}
-
-/// Answer a request whose cumulative deadline expired with `408`; the
-/// caller closes the connection.
-fn answer_request_timeout(stream: &mut TcpStream, metrics: &Metrics, elapsed: Duration) {
-    let mut response = Response::json(408, "{\"error\":\"request timeout\"}");
-    response.close = true;
-    metrics.observe(Route::Other, 408, elapsed);
-    let _ = response.write_to(stream);
 }
 
 /// A response body: freshly rendered (`Owned`) or shared out of the
@@ -898,10 +613,9 @@ impl Response {
     }
 
     /// Serialize the full response frame — status line, framing headers,
-    /// extras, body — into a caller-owned buffer (cleared first). Shared
-    /// by both connection cores so their wire output is byte-identical by
-    /// construction; both pass pooled buffers, so the steady-state request
-    /// path (cache hits especially) allocates nothing here.
+    /// extras, body — into a caller-owned buffer (cleared first). The
+    /// workers pass pooled buffers, so the steady-state request path
+    /// (cache hits especially) allocates nothing here.
     pub(crate) fn render_into(&self, frame: &mut Vec<u8>) {
         frame.clear();
         let reason = match self.status {
@@ -946,24 +660,11 @@ impl Response {
     }
 
     /// [`Response::render_into`] into a fresh buffer (cold paths and
-    /// tests; the connection cores reuse pooled buffers instead).
+    /// tests; the workers reuse pooled buffers instead).
     pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let mut frame = Vec::with_capacity(128 + self.body.len());
         self.render_into(&mut frame);
         frame
-    }
-
-    fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
-        self.write_with(&mut Vec::new(), stream)
-    }
-
-    /// Render into the reusable `frame` and write it in one syscall: two
-    /// writes would let Nagle hold the body back until the client ACKs
-    /// the head — a ~40ms delayed-ACK stall on every kept-alive response.
-    fn write_with(&self, frame: &mut Vec<u8>, stream: &mut TcpStream) -> std::io::Result<()> {
-        self.render_into(frame);
-        stream.write_all(frame)?;
-        stream.flush()
     }
 }
 

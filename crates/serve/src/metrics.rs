@@ -1,4 +1,5 @@
-//! Request counters and latency histogram for the `/metrics` endpoint.
+//! Request counters and the per-route latency histogram for the
+//! `/metrics` endpoint.
 //!
 //! Everything is a relaxed atomic — observation never blocks a request
 //! thread, and the exposition is a consistent-enough point-in-time read
@@ -8,17 +9,13 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Upper bounds (µs) of the latency histogram buckets; the last implicit
-/// bucket is `+Inf`. Chosen for a microsecond-scale lookup service: the
-/// first buckets resolve in-memory scoring, the last ones catch slow
-/// clients and SVG rendering.
-pub const LATENCY_BUCKETS_US: [u64; 8] = [50, 100, 250, 500, 1_000, 5_000, 25_000, 100_000];
-
 /// Upper bounds (seconds) of the per-route request-duration histogram
 /// (`pipefail_http_request_duration_seconds`), log-spaced 100µs → 10s
 /// (1-2.5-5 per decade, the Prometheus convention); the last implicit
 /// bucket is `+Inf`. Wide enough to resolve both in-memory scoring (tens
 /// of µs) and federation tail latency under fault injection (seconds).
+/// This is the only latency histogram: the server-wide view is the sum of
+/// the per-route series.
 pub const DURATION_BUCKETS_S: [f64; 16] = [
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
     5.0, 10.0,
@@ -117,18 +114,15 @@ pub struct Metrics {
     /// Per-route request-duration histograms
     /// (`pipefail_http_request_duration_seconds{route=...}`).
     durations: [DurationHisto; 10],
-    /// Currently open connections (gauge; both connection cores).
+    /// Currently open connections (gauge).
     connections_open: AtomicU64,
     /// Idle keep-alive connections closed to admit new ones at the
-    /// connection cap (epoll core admission control).
+    /// connection cap (admission control).
     connections_shed: AtomicU64,
     /// Requests/connections answered `429` by admission control.
     admission_rejected: AtomicU64,
     /// Status classes 1xx..5xx.
     by_status: [AtomicU64; 5],
-    /// `LATENCY_BUCKETS_US` + the +Inf overflow bucket.
-    latency_buckets: [AtomicU64; 9],
-    latency_sum_us: AtomicU64,
     /// Requests served on an already-used connection (request ≥ 2 on its
     /// socket) — the payoff of keep-alive.
     keepalive_reuses: AtomicU64,
@@ -211,12 +205,6 @@ impl Metrics {
         let class = (status / 100).clamp(1, 5) as usize - 1;
         self.by_status[class].fetch_add(1, Ordering::Relaxed);
         let us = elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
-        let bucket = LATENCY_BUCKETS_US
-            .iter()
-            .position(|&ub| us <= ub)
-            .unwrap_or(LATENCY_BUCKETS_US.len());
-        self.latency_buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.latency_sum_us.fetch_add(us, Ordering::Relaxed);
         let histo = &self.durations[route.index()];
         let secs = elapsed.as_secs_f64();
         let bucket = DURATION_BUCKETS_S
@@ -228,12 +216,12 @@ impl Metrics {
         histo.count.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one connection opened (either core).
+    /// Record one connection opened.
     pub fn conn_opened(&self) {
         self.connections_open.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one connection closed (either core).
+    /// Record one connection closed.
     pub fn conn_closed(&self) {
         self.connections_open.fetch_sub(1, Ordering::Relaxed);
     }
@@ -504,23 +492,6 @@ impl Metrics {
                 c.load(Ordering::Relaxed)
             ));
         }
-        out.push_str("# TYPE pipefail_request_latency_us histogram\n");
-        let mut cumulative = 0u64;
-        for (i, &ub) in LATENCY_BUCKETS_US.iter().enumerate() {
-            cumulative += self.latency_buckets[i].load(Ordering::Relaxed);
-            out.push_str(&format!(
-                "pipefail_request_latency_us_bucket{{le=\"{ub}\"}} {cumulative}\n"
-            ));
-        }
-        cumulative += self.latency_buckets[LATENCY_BUCKETS_US.len()].load(Ordering::Relaxed);
-        out.push_str(&format!(
-            "pipefail_request_latency_us_bucket{{le=\"+Inf\"}} {cumulative}\n"
-        ));
-        out.push_str(&format!(
-            "pipefail_request_latency_us_sum {}\n",
-            self.latency_sum_us.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!("pipefail_request_latency_us_count {}\n", self.total()));
         out.push_str("# TYPE pipefail_http_request_duration_seconds histogram\n");
         for route in Route::ALL {
             let histo = &self.durations[route.index()];
@@ -686,12 +657,17 @@ mod tests {
         assert!(text.contains("pipefail_requests{route=\"top\"} 2"));
         assert!(text.contains("pipefail_responses{status=\"2xx\"} 2"));
         assert!(text.contains("pipefail_responses{status=\"4xx\"} 2"));
-        // Histogram is cumulative: the 50µs bucket holds 1, the 100µs
-        // bucket 2, the +Inf bucket everything.
-        assert!(text.contains("pipefail_request_latency_us_bucket{le=\"50\"} 1"));
-        assert!(text.contains("pipefail_request_latency_us_bucket{le=\"100\"} 2"));
-        assert!(text.contains("pipefail_request_latency_us_bucket{le=\"+Inf\"} 4"));
-        assert!(text.contains("pipefail_request_latency_us_count 4"));
+        // Every observation lands in exactly one route's histogram, so the
+        // per-route counts sum to the request total.
+        let count_sum: u64 = text
+            .lines()
+            .filter(|l| l.starts_with("pipefail_http_request_duration_seconds_count{"))
+            .map(|l| l.rsplit(' ').next().and_then(|n| n.parse::<u64>().ok()).expect("count"))
+            .sum();
+        assert_eq!(count_sum, 4);
+        assert!(text.contains(
+            "pipefail_http_request_duration_seconds_bucket{route=\"other\",le=\"0.5\"} 1"
+        ));
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Incremental HTTP/1.1 request parser for the keep-alive server.
 //!
-//! Both connection cores read a connection into one growing byte buffer
-//! and call [`parse_request`] on it after every read — the threaded core
-//! from its per-connection loop, the epoll event loop from its
-//! per-connection state machine, where the incremental contract is what
-//! makes a single-threaded loop over thousands of fragmented sockets
-//! possible at all. The parser either produces a complete request **plus
+//! The epoll event loop reads each connection into one growing byte
+//! buffer and calls [`parse_request`] on it after every read, from its
+//! per-connection state machine — the incremental contract is what makes
+//! a single-threaded loop over thousands of fragmented sockets possible
+//! at all. The parser either produces a complete request **plus
 //! the exact number of bytes it consumed** (so pipelined requests queued
 //! behind it in the same buffer are untouched), reports that the buffer
 //! is still incomplete, or fails with a typed [`ParseError`]. It never

@@ -1,24 +1,22 @@
 //! The scoring engine: snapshot in, microsecond risk queries out.
 //!
-//! A [`Scorer`] is an immutable, shareable (`Sync`) view of one model
-//! snapshot, behind one of two backings:
+//! A [`Scorer`] is an immutable, shareable (`Sync`) columnar view over the
+//! bytes of one PFSNAP v2 snapshot, validated in one strict pass
+//! ([`pipefail_core::snapshot::v2::validate`]). The ranking, the id→rank
+//! index, and the attribute columns are read **directly from those
+//! bytes**, which come from one of two places:
 //!
-//! * **Heap** — the v1 path: the snapshot is parsed into owned vectors.
-//!   Loading costs O(file size); queries are slices and binary searches.
-//! * **Mapped** — the v2 path: the file is `mmap`ed read-only
-//!   (`sys`'s raw-syscall mapping) and validated in one pass
-//!   ([`pipefail_core::snapshot::v2::validate`]); the ranking, the
-//!   id→rank index, and the attribute columns are then served **directly
-//!   from the mapped bytes** — loading is O(ms) regardless of snapshot
-//!   size, and the page cache is shared across processes serving the same
-//!   file. The mapping lives inside an `Arc`, so a hot-reload swap keeps
-//!   the old pages valid until the last in-flight request drops its clone.
+//! * a v2 file is `mmap`ed read-only (`sys`'s raw-syscall mapping) —
+//!   loading is O(ms) regardless of snapshot size, and the page cache is
+//!   shared across processes serving the same file;
+//! * a v1 file or an in-memory [`Snapshot`] is converted once to v2 bytes
+//!   ([`pipefail_core::snapshot::v2::encode`]) in an owned 8-aligned
+//!   buffer.
 //!
-//! [`Scorer::load`] negotiates on the header version: v1 files take the
-//! heap path, v2 files the mapped path (falling back to a heap parse on
-//! big-endian hosts, where the zero-copy column casts would read garbage).
-//! Both backings answer every query identically — the `mmap_identity`
-//! battery proves it on arbitrary generated snapshots.
+//! The bytes live inside an `Arc`, so a hot-reload swap keeps the old
+//! pages valid until the last in-flight request drops its clone. Every
+//! scorer answers every query identically whatever its source — the
+//! `mmap_identity` battery proves it on arbitrary generated snapshots.
 //!
 //! Queries return view types ([`RiskSlice`], [`AttributesView`]) instead
 //! of slices of owned structs, so the zero-copy property survives the API
@@ -26,11 +24,16 @@
 //! with the pool's usual determinism contract: results come back in query
 //! order at any thread count.
 
+// The columns are reinterpreted in place as native `u32`/`f64`, which
+// equals the on-disk little-endian encoding only on little-endian hosts.
+#[cfg(target_endian = "big")]
+compile_error!("pipefail-serve reads snapshot columns in place and needs a little-endian target");
+
 use crate::sys;
 use pipefail_core::model::RiskRanking;
 use pipefail_core::snapshot::{
     v2, Snapshot, SnapshotError, SnapshotFormat, SummarySection, ATTRIBUTES_SECTION,
-    ATTR_LAID_YEAR, ATTR_LENGTH_M, ATTR_MATERIAL, HEADER_LEN, MAGIC, SNAPSHOT_VERSION_V2,
+    ATTR_LAID_YEAR, ATTR_LENGTH_M, ATTR_MATERIAL, SNAPSHOT_VERSION_V2,
 };
 use pipefail_network::attributes::Material;
 use pipefail_network::ids::PipeId;
@@ -71,83 +74,26 @@ pub enum QueryResult {
     Pipe(Option<PipeRisk>),
 }
 
-/// Per-pipe asset attributes decoded from the snapshot's well-known
-/// `pipe_attributes` section, aligned with the descending score order
-/// (entry `i` describes the pipe at rank `i`). Present only when the
-/// snapshot carries the section *and* it validates: every field the same
-/// length as the ranking, lengths finite and non-negative, material
-/// indices inside the catalogue. A malformed section is dropped rather
-/// than served — top-K and point lookups keep working, aggregation
-/// queries that need attributes get a typed refusal.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PipeAttributes {
-    /// Pipe length in metres, by rank.
-    pub length_m: Vec<f64>,
-    /// Pipe material, by rank.
-    pub material: Vec<Material>,
-    /// Construction year, by rank.
-    pub laid_year: Vec<i32>,
-}
-
-impl PipeAttributes {
-    /// Decode and validate the attributes section against a ranking of
-    /// `n` pipes. `None` when the section is absent or malformed.
-    fn decode(sections: &[SummarySection], n: usize) -> Option<Self> {
-        let section = sections.iter().find(|s| s.name == ATTRIBUTES_SECTION)?;
-        let length_m = section.field(ATTR_LENGTH_M)?;
-        let material = section.field(ATTR_MATERIAL)?;
-        let laid_year = section.field(ATTR_LAID_YEAR)?;
-        if length_m.len() != n || material.len() != n || laid_year.len() != n {
-            return None;
-        }
-        if !length_m.iter().all(|l| l.is_finite() && *l >= 0.0) {
-            return None;
-        }
-        let material: Option<Vec<Material>> = material
-            .iter()
-            .map(|&m| {
-                (m.fract() == 0.0 && m >= 0.0 && (m as usize) < Material::ALL.len())
-                    .then(|| Material::ALL[m as usize])
-            })
-            .collect();
-        let laid_year: Option<Vec<i32>> = laid_year
-            .iter()
-            .map(|&y| {
-                (y.is_finite() && y.fract() == 0.0 && y >= f64::from(i32::MIN) && y <= f64::from(i32::MAX))
-                    .then_some(y as i32)
-            })
-            .collect();
-        Some(Self {
-            length_m: length_m.to_vec(),
-            material: material?,
-            laid_year: laid_year?,
-        })
-    }
-}
-
 /// A borrowed run of ranking entries starting at rank 0 — what
-/// [`Scorer::top_k`] returns. Over a heap backing this wraps a slice of
-/// [`PipeRisk`]; over a mapped backing it wraps the raw id and score
-/// columns and materializes each `PipeRisk` on the fly, so rendering a
-/// top-K response never copies the table.
+/// [`Scorer::top_k`] returns: the id and score columns side by side, each
+/// [`PipeRisk`] materialized on the fly, so rendering a top-K response
+/// never copies the table.
 #[derive(Debug, Clone, Copy)]
 pub struct RiskSlice<'a> {
-    inner: SliceInner<'a>,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum SliceInner<'a> {
-    Heap(&'a [PipeRisk]),
-    Cols { ids: &'a [u32], scores: &'a [f64] },
+    ids: &'a [u32],
+    scores: &'a [f64],
 }
 
 impl<'a> RiskSlice<'a> {
+    /// A slice over parallel id and score columns in rank order.
+    pub(crate) fn from_columns(ids: &'a [u32], scores: &'a [f64]) -> Self {
+        debug_assert_eq!(ids.len(), scores.len(), "columns must be parallel");
+        RiskSlice { ids, scores }
+    }
+
     /// Number of entries.
     pub fn len(&self) -> usize {
-        match self.inner {
-            SliceInner::Heap(s) => s.len(),
-            SliceInner::Cols { ids, .. } => ids.len(),
-        }
+        self.ids.len()
     }
 
     /// True when there are no entries.
@@ -157,14 +103,11 @@ impl<'a> RiskSlice<'a> {
 
     /// The entry at position `i` (which is also its rank), if in range.
     pub fn get(&self, i: usize) -> Option<PipeRisk> {
-        match self.inner {
-            SliceInner::Heap(s) => s.get(i).copied(),
-            SliceInner::Cols { ids, scores } => Some(PipeRisk {
-                pipe: PipeId(*ids.get(i)?),
-                score: *scores.get(i)?,
-                rank: i,
-            }),
-        }
+        Some(PipeRisk {
+            pipe: PipeId(*self.ids.get(i)?),
+            score: *self.scores.get(i)?,
+            rank: i,
+        })
     }
 
     /// The entry at position `i`; panics when out of range.
@@ -180,12 +123,6 @@ impl<'a> RiskSlice<'a> {
     /// Copy the entries into an owned vector.
     pub fn to_vec(&self) -> Vec<PipeRisk> {
         self.iter().collect()
-    }
-}
-
-impl<'a> From<&'a [PipeRisk]> for RiskSlice<'a> {
-    fn from(s: &'a [PipeRisk]) -> Self {
-        RiskSlice { inner: SliceInner::Heap(s) }
     }
 }
 
@@ -232,32 +169,25 @@ impl<'a> IntoIterator for &RiskSlice<'a> {
 }
 
 /// A borrowed view of the per-pipe asset attributes, aligned with the
-/// ranking (index `i` describes the pipe at rank `i`). Over a heap backing
-/// this reads the decoded [`PipeAttributes`]; over a mapped backing it
-/// reads the raw f64 columns in place (values were validated at load, so
-/// the conversions here cannot fail).
+/// ranking (index `i` describes the pipe at rank `i`): three `f64`
+/// columns, read in place. Present only when the snapshot carries a
+/// `pipe_attributes` section whose fields are aligned with the ranking and
+/// whose values pass the validator's rules (finite non-negative lengths,
+/// integral catalogued materials, integral `i32` years), so the
+/// conversions here cannot fail. A malformed section is dropped rather
+/// than served — top-K and point lookups keep working, aggregation
+/// queries that need attributes get a typed refusal.
 #[derive(Debug, Clone, Copy)]
 pub struct AttributesView<'a> {
-    inner: AttrInner<'a>,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum AttrInner<'a> {
-    Heap(&'a PipeAttributes),
-    Cols {
-        length_m: &'a [f64],
-        material: &'a [f64],
-        laid_year: &'a [f64],
-    },
+    length_m: &'a [f64],
+    material: &'a [f64],
+    laid_year: &'a [f64],
 }
 
 impl AttributesView<'_> {
     /// Number of described pipes (always the ranking length).
     pub fn len(&self) -> usize {
-        match self.inner {
-            AttrInner::Heap(a) => a.length_m.len(),
-            AttrInner::Cols { length_m, .. } => length_m.len(),
-        }
+        self.length_m.len()
     }
 
     /// True when no pipes are described.
@@ -267,10 +197,7 @@ impl AttributesView<'_> {
 
     /// Length in metres of the pipe at rank `i`.
     pub fn length_m(&self, i: usize) -> f64 {
-        match self.inner {
-            AttrInner::Heap(a) => a.length_m[i],
-            AttrInner::Cols { length_m, .. } => length_m[i],
-        }
+        self.length_m[i]
     }
 
     /// Material of the pipe at rank `i`.
@@ -280,28 +207,19 @@ impl AttributesView<'_> {
 
     /// Index into `Material::ALL` of the pipe at rank `i`'s material.
     pub fn material_index(&self, i: usize) -> usize {
-        match self.inner {
-            AttrInner::Heap(a) => Material::ALL
-                .iter()
-                .position(|m| *m == a.material[i])
-                .expect("decoded material is catalogued"),
-            AttrInner::Cols { material, .. } => material[i] as usize,
-        }
+        self.material[i] as usize
     }
 
     /// Construction year of the pipe at rank `i`.
     pub fn laid_year(&self, i: usize) -> i32 {
-        match self.inner {
-            AttrInner::Heap(a) => a.laid_year[i],
-            AttrInner::Cols { laid_year, .. } => laid_year[i] as i32,
-        }
+        self.laid_year[i] as i32
     }
 }
 
 /// Shape of one posterior summary section as reported by
 /// [`Scorer::sections_info`]: the section name and each field's name and
-/// value count. Values themselves stay in the snapshot (or the mapping) —
-/// the `/model` endpoint only reports shapes.
+/// value count. Values themselves stay in the snapshot bytes — the
+/// `/model` endpoint only reports shapes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SectionInfo {
     /// Section name.
@@ -310,147 +228,123 @@ pub struct SectionInfo {
     pub fields: Vec<(String, usize)>,
 }
 
-/// The mapped backing: the raw mapping plus the validated layout. Held in
-/// an `Arc` by every clone of the scorer, so the `munmap` happens exactly
-/// when the last holder (shard table or in-flight request) lets go.
+/// Attribute columns decoded from a `pipe_attributes` section the writer
+/// could not extract into typed v2 columns (non-canonical field order or
+/// extra fields), so it rides in the summary blob instead.
 #[derive(Debug)]
-struct MappedBacking {
-    map: sys::Mapping,
-    layout: v2::Layout,
-    /// Attributes decoded from the summary blob when the writer did *not*
-    /// extract columns (non-canonical section shape). Keeps the two
-    /// loaders agreeing on whether attributes exist.
-    heap_attrs: Option<PipeAttributes>,
+struct OwnedAttrs {
+    length_m: Vec<f64>,
+    material: Vec<f64>,
+    laid_year: Vec<f64>,
 }
 
-impl MappedBacking {
+impl OwnedAttrs {
+    /// Decode the first `pipe_attributes` section among `sections`
+    /// against a ranking of `n` pipes. `None` when absent, misaligned, or
+    /// holding a value the validator's attribute rules reject.
+    fn decode(sections: &[SummarySection], n: usize) -> Option<Self> {
+        let section = sections.iter().find(|s| s.name == ATTRIBUTES_SECTION)?;
+        let length_m = section.field(ATTR_LENGTH_M)?;
+        let material = section.field(ATTR_MATERIAL)?;
+        let laid_year = section.field(ATTR_LAID_YEAR)?;
+        let aligned = length_m.len() == n && material.len() == n && laid_year.len() == n;
+        (aligned && v2::attr_values_valid(length_m, material, laid_year)).then(|| OwnedAttrs {
+            length_m: length_m.to_vec(),
+            material: material.to_vec(),
+            laid_year: laid_year.to_vec(),
+        })
+    }
+}
+
+/// The validated snapshot bytes plus their layout. Held in an `Arc` by
+/// every clone of the scorer, so an `munmap` happens exactly when the last
+/// holder (shard table or in-flight request) lets go.
+#[derive(Debug)]
+struct Columns {
+    bytes: sys::Mapping,
+    layout: v2::Layout,
+    /// Attributes decoded from the summary blob when the writer did *not*
+    /// extract columns.
+    owned_attrs: Option<OwnedAttrs>,
+}
+
+impl Columns {
     /// Reinterpret a validated column range as a `u32` slice.
     fn u32s(&self, range: &Range<usize>) -> &[u32] {
-        let bytes = &self.map.bytes()[range.clone()];
+        let bytes = &self.bytes.bytes()[range.clone()];
         // SAFETY: the validator proved the range 8-byte-aligned within the
-        // file and the mapping base is at least 8-aligned (page-aligned on
-        // unix, u64-backed on the fallback), so the pointer is aligned for
-        // u32; the length is a multiple of 4 by the section-table element
-        // check. Only constructed on little-endian hosts (see
-        // `Scorer::load`), where `u32` memory layout equals the on-disk
-        // little-endian encoding.
+        // buffer and the base is 8-aligned (page-aligned mmap or u64-backed
+        // owned buffer), so the pointer is aligned for u32; the length is a
+        // multiple of 4 by the section-table element check. Little-endian
+        // targets only (see the `compile_error!` above), where `u32` memory
+        // layout equals the on-disk little-endian encoding.
         unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const u32, bytes.len() / 4) }
     }
 
     /// Reinterpret a validated column range as an `f64` slice.
     fn f64s(&self, range: &Range<usize>) -> &[f64] {
-        let bytes = &self.map.bytes()[range.clone()];
+        let bytes = &self.bytes.bytes()[range.clone()];
         // SAFETY: as `u32s`, with 8-byte elements.
         unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const f64, bytes.len() / 8) }
     }
 }
 
-#[derive(Debug, Clone)]
-enum Backing {
-    Heap {
-        /// Descending by score; `rank` equals the index.
-        entries: Vec<PipeRisk>,
-        /// `(pipe id, rank)` sorted ascending — point lookups are a binary
-        /// search over one contiguous 8-byte-per-pipe array. This beats a
-        /// `HashMap` here twice over: no SipHash per probe (the ids are
-        /// attacker-neutral — they come from the snapshot, not the
-        /// client), and the probe sequence is cache-friendly instead of a
-        /// random walk. Sorted by the full `(id, rank)` pair so lookups
-        /// resolve duplicates identically to the v2 on-disk index.
-        index: Vec<(PipeId, u32)>,
-        sections: Vec<SummarySection>,
-        /// Decoded `pipe_attributes` section, when present and valid.
-        attributes: Option<PipeAttributes>,
-    },
-    Mapped(Arc<MappedBacking>),
-}
-
-/// In-memory scoring engine over one loaded snapshot (heap-parsed or
-/// memory-mapped; see the module docs).
+/// In-memory scoring engine over one snapshot (see the module docs).
 #[derive(Debug, Clone)]
 pub struct Scorer {
     model: String,
     region: String,
     seed: u64,
     format: SnapshotFormat,
-    backing: Backing,
+    cols: Arc<Columns>,
 }
 
 impl Scorer {
-    /// Build from a validated snapshot (scores arrive pre-sorted — the
-    /// format guarantees descending order). Heap-backed; the format tag is
+    /// Build from an in-memory snapshot: encode it once as v2 bytes in an
+    /// owned buffer and validate them like a file. The format tag is
     /// [`SnapshotFormat::V1`], matching what `to_bytes` would write.
+    ///
+    /// # Panics
+    ///
+    /// When the snapshot breaks a format invariant a file load would
+    /// reject with a typed error (non-finite or unsorted scores).
     pub fn new(snapshot: Snapshot) -> Self {
-        Self::new_with_format(snapshot, SnapshotFormat::V1)
+        Self::from_bytes(sys::Mapping::owned(&v2::encode(&snapshot)), SnapshotFormat::V1)
+            .unwrap_or_else(|e| panic!("Scorer::new: snapshot fails v2 validation: {e}"))
     }
 
-    fn new_with_format(snapshot: Snapshot, format: SnapshotFormat) -> Self {
-        let entries: Vec<PipeRisk> = snapshot
-            .scores
-            .iter()
-            .enumerate()
-            .map(|(rank, &(pipe, score))| PipeRisk { pipe, score, rank })
-            .collect();
-        let mut index: Vec<(PipeId, u32)> = entries
-            .iter()
-            .map(|e| (e.pipe, e.rank as u32))
-            .collect();
-        index.sort_unstable();
-        let attributes = PipeAttributes::decode(&snapshot.sections, entries.len());
-        Self {
-            model: snapshot.model,
-            region: snapshot.region,
-            seed: snapshot.seed,
-            format,
-            backing: Backing::Heap {
-                entries,
-                index,
-                sections: snapshot.sections,
-                attributes,
-            },
-        }
-    }
-
-    /// Load a snapshot file and build the engine, negotiating the backing
-    /// on the header version: v1 heap-parses, v2 memory-maps (one strict
-    /// validation pass over the mapped bytes, then zero-copy serving).
-    /// Big-endian hosts heap-parse v2 too — correct, just not zero-copy.
+    /// Load a snapshot file and build the engine, dispatching on the
+    /// header's version field. A v2 file is memory-mapped, validated in
+    /// place, and served from the mapping (zero copy). Anything else is
+    /// read and parsed by the strict [`Snapshot::load`] decoder (typed
+    /// errors for short, foreign, or corrupt files), and a v1 snapshot is
+    /// converted once to v2 bytes.
     pub fn load(path: &Path) -> Result<Self, SnapshotError> {
-        let version = peek_version(path)?;
-        if version == SNAPSHOT_VERSION_V2 && cfg!(target_endian = "little") {
-            Self::open_mapped(path)
-        } else {
-            Self::load_heap(path)
+        let io = |e: std::io::Error| SnapshotError::Io(e.to_string());
+        let mut head = Vec::with_capacity(8);
+        std::fs::File::open(path)
+            .and_then(|f| f.take(8).read_to_end(&mut head))
+            .map_err(io)?;
+        if head.get(6..8) == Some(&SNAPSHOT_VERSION_V2.to_le_bytes()[..]) {
+            return Self::from_bytes(sys::Mapping::map_path(path).map_err(io)?, SnapshotFormat::V2);
         }
+        let snapshot = Snapshot::load(path)?;
+        Self::from_bytes(sys::Mapping::owned(&v2::encode(&snapshot)), SnapshotFormat::V1)
     }
 
-    /// Load a snapshot file onto the heap regardless of its version — the
-    /// reference loader the mmap identity battery and the cold-start bench
-    /// compare against.
-    pub fn load_heap(path: &Path) -> Result<Self, SnapshotError> {
-        let bytes = std::fs::read(path).map_err(|e| SnapshotError::Io(e.to_string()))?;
-        let format = if bytes.len() >= 8
-            && u16::from_le_bytes([bytes[6], bytes[7]]) == SNAPSHOT_VERSION_V2
-        {
-            SnapshotFormat::V2
-        } else {
-            SnapshotFormat::V1
+    /// Validate v2 `bytes` and wrap them; `format` is the source format
+    /// reported by `/model`.
+    fn from_bytes(bytes: sys::Mapping, format: SnapshotFormat) -> Result<Self, SnapshotError> {
+        let layout = v2::validate(bytes.bytes())?;
+        let text = |range: &Range<usize>| {
+            std::str::from_utf8(&bytes.bytes()[range.clone()])
+                .expect("validated utf8")
+                .to_string()
         };
-        Ok(Self::new_with_format(Snapshot::from_bytes(&bytes)?, format))
-    }
-
-    /// Map a v2 file and validate it in place.
-    fn open_mapped(path: &Path) -> Result<Self, SnapshotError> {
-        let map = sys::Mapping::map_path(path).map_err(|e| SnapshotError::Io(e.to_string()))?;
-        let layout = v2::validate(map.bytes())?;
-        let model = std::str::from_utf8(&map.bytes()[layout.model.clone()])
-            .expect("validated utf8")
-            .to_string();
-        let region = std::str::from_utf8(&map.bytes()[layout.region.clone()])
-            .expect("validated utf8")
-            .to_string();
-        let heap_attrs = if layout.attrs.is_none() {
-            PipeAttributes::decode(&layout.summary, layout.n_pipes)
+        let model = text(&layout.model);
+        let region = text(&layout.region);
+        let owned_attrs = if layout.attrs.is_none() {
+            OwnedAttrs::decode(&layout.summary, layout.n_pipes)
         } else {
             None
         };
@@ -458,8 +352,8 @@ impl Scorer {
             model,
             region,
             seed: layout.seed,
-            format: SnapshotFormat::V2,
-            backing: Backing::Mapped(Arc::new(MappedBacking { map, layout, heap_attrs })),
+            format,
+            cols: Arc::new(Columns { bytes, layout, owned_attrs }),
         })
     }
 
@@ -486,11 +380,11 @@ impl Scorer {
 
     /// True when the scorer serves directly from a memory-mapped file.
     pub fn mapped(&self) -> bool {
-        matches!(self.backing, Backing::Mapped(_))
+        self.cols.bytes.is_mmap()
     }
 
-    /// How the snapshot is held: `"mmap"` (zero-copy mapping) or `"heap"`
-    /// (owned vectors). Reported by `/model`.
+    /// How the snapshot bytes are held: `"mmap"` (zero-copy mapping) or
+    /// `"heap"` (owned buffer). Reported by `/model`.
     pub fn loader(&self) -> &'static str {
         if self.mapped() {
             "mmap"
@@ -501,10 +395,7 @@ impl Scorer {
 
     /// Number of ranked pipes.
     pub fn len(&self) -> usize {
-        match &self.backing {
-            Backing::Heap { entries, .. } => entries.len(),
-            Backing::Mapped(b) => b.layout.n_pipes,
-        }
+        self.cols.layout.n_pipes
     }
 
     /// True when the snapshot ranked no pipes.
@@ -513,69 +404,55 @@ impl Scorer {
     }
 
     /// Shape of the posterior summary sections carried by the snapshot
-    /// (names and field value counts, as reported by `/model`). Identical
-    /// between the two backings: a mapped scorer synthesizes the entry for
-    /// extracted attribute columns at its original position.
+    /// (names and field value counts, as reported by `/model`), in the
+    /// snapshot's original order: extracted attribute columns are reported
+    /// at the position their section held.
     pub fn sections_info(&self) -> Vec<SectionInfo> {
-        let of_sections = |sections: &[SummarySection]| {
-            sections
-                .iter()
-                .map(|s| SectionInfo {
-                    name: s.name.clone(),
-                    fields: s
-                        .fields
-                        .iter()
-                        .map(|f| (f.name.clone(), f.values.len()))
-                        .collect(),
-                })
-                .collect::<Vec<_>>()
-        };
-        match &self.backing {
-            Backing::Heap { sections, .. } => of_sections(sections),
-            Backing::Mapped(b) => {
-                let mut infos = of_sections(&b.layout.summary);
-                if let (Some(_), Some(pos)) = (&b.layout.attrs, b.layout.attr_pos) {
-                    let n = b.layout.n_pipes;
-                    infos.insert(
-                        pos,
-                        SectionInfo {
-                            name: ATTRIBUTES_SECTION.to_string(),
-                            fields: vec![
-                                (ATTR_LENGTH_M.to_string(), n),
-                                (ATTR_MATERIAL.to_string(), n),
-                                (ATTR_LAID_YEAR.to_string(), n),
-                            ],
-                        },
-                    );
-                }
-                infos
-            }
+        let layout = &self.cols.layout;
+        let mut infos: Vec<SectionInfo> = layout
+            .summary
+            .iter()
+            .map(|s| SectionInfo {
+                name: s.name.clone(),
+                fields: s
+                    .fields
+                    .iter()
+                    .map(|f| (f.name.clone(), f.values.len()))
+                    .collect(),
+            })
+            .collect();
+        if let (Some(_), Some(pos)) = (&layout.attrs, layout.attr_pos) {
+            let n = layout.n_pipes;
+            infos.insert(
+                pos,
+                SectionInfo {
+                    name: ATTRIBUTES_SECTION.to_string(),
+                    fields: [ATTR_LENGTH_M, ATTR_MATERIAL, ATTR_LAID_YEAR]
+                        .map(|f| (f.to_string(), n))
+                        .to_vec(),
+                },
+            );
         }
+        infos
     }
 
     /// Per-pipe asset attributes (length / material / construction year),
     /// when the snapshot carries a valid `pipe_attributes` section. Rank
     /// `i` of the ranking owns index `i` of the view.
     pub fn attributes(&self) -> Option<AttributesView<'_>> {
-        match &self.backing {
-            Backing::Heap { attributes, .. } => attributes
-                .as_ref()
-                .map(|a| AttributesView { inner: AttrInner::Heap(a) }),
-            Backing::Mapped(b) => {
-                if let Some(cols) = &b.layout.attrs {
-                    Some(AttributesView {
-                        inner: AttrInner::Cols {
-                            length_m: b.f64s(&cols.length_m),
-                            material: b.f64s(&cols.material),
-                            laid_year: b.f64s(&cols.laid_year),
-                        },
-                    })
-                } else {
-                    b.heap_attrs
-                        .as_ref()
-                        .map(|a| AttributesView { inner: AttrInner::Heap(a) })
-                }
-            }
+        let c = &self.cols;
+        match (&c.layout.attrs, &c.owned_attrs) {
+            (Some(cols), _) => Some(AttributesView {
+                length_m: c.f64s(&cols.length_m),
+                material: c.f64s(&cols.material),
+                laid_year: c.f64s(&cols.laid_year),
+            }),
+            (None, Some(a)) => Some(AttributesView {
+                length_m: &a.length_m,
+                material: &a.material,
+                laid_year: &a.laid_year,
+            }),
+            (None, None) => None,
         }
     }
 
@@ -592,48 +469,32 @@ impl Scorer {
         )
     }
 
-    /// The `k` riskiest pipes (all of them when `k > len`), descending.
-    /// Zero-copy on both backings: a slice of the pre-sorted table, or a
-    /// pair of column prefixes straight out of the mapping.
+    /// The `k` riskiest pipes (all of them when `k > len`), descending:
+    /// zero-copy prefixes of the id and score columns.
     pub fn top_k(&self, k: usize) -> RiskSlice<'_> {
         let k = k.min(self.len());
-        match &self.backing {
-            Backing::Heap { entries, .. } => RiskSlice {
-                inner: SliceInner::Heap(&entries[..k]),
-            },
-            Backing::Mapped(b) => RiskSlice {
-                inner: SliceInner::Cols {
-                    ids: &b.u32s(&b.layout.pipe_ids)[..k],
-                    scores: &b.f64s(&b.layout.scores)[..k],
-                },
-            },
+        let c = &self.cols;
+        RiskSlice {
+            ids: &c.u32s(&c.layout.pipe_ids)[..k],
+            scores: &c.f64s(&c.layout.scores)[..k],
         }
     }
 
     /// One pipe's risk, if it was ranked. O(log n): a binary search over
-    /// the sorted id→rank index — owned vectors on the heap backing, the
-    /// on-disk index columns on the mapped backing (`serve_bench` tracks
-    /// the lookup latency as `scorer/risk_of_100k`). Both indexes are
-    /// sorted by `(id, rank)`, so duplicate ids resolve to the same entry
-    /// either way.
+    /// the index columns, sorted by `(id, rank)` so duplicate ids resolve
+    /// to the lowest rank (`serve_bench` tracks the lookup latency as
+    /// `scorer/risk_of_100k`).
     pub fn risk_of(&self, pipe: PipeId) -> Option<PipeRisk> {
-        match &self.backing {
-            Backing::Heap { entries, index, .. } => index
-                .binary_search_by_key(&pipe, |&(id, _)| id)
-                .ok()
-                .map(|i| entries[index[i].1 as usize]),
-            Backing::Mapped(b) => {
-                let ids = b.u32s(&b.layout.index_ids);
-                ids.binary_search(&pipe.0).ok().map(|i| {
-                    let rank = b.u32s(&b.layout.index_ranks)[i] as usize;
-                    PipeRisk {
-                        pipe,
-                        score: b.f64s(&b.layout.scores)[rank],
-                        rank,
-                    }
-                })
+        let c = &self.cols;
+        let ids = c.u32s(&c.layout.index_ids);
+        ids.binary_search(&pipe.0).ok().map(|i| {
+            let rank = c.u32s(&c.layout.index_ranks)[i] as usize;
+            PipeRisk {
+                pipe,
+                score: c.f64s(&c.layout.scores)[rank],
+                rank,
             }
-        }
+        })
     }
 
     /// Reconstruct the full [`RiskRanking`] — bit-identical to the ranking
@@ -665,32 +526,6 @@ impl Scorer {
     pub fn answer_batch(&self, queries: &[Query], pool: &TaskPool) -> Vec<QueryResult> {
         pool.run(queries.len(), |i| self.answer(queries[i]))
     }
-}
-
-/// Read the 24-byte header of a snapshot file and return its version,
-/// with the same errors the full parse would produce for a short or
-/// mislabeled file.
-fn peek_version(path: &Path) -> Result<u16, SnapshotError> {
-    let mut file = std::fs::File::open(path).map_err(|e| SnapshotError::Io(e.to_string()))?;
-    let mut head = [0u8; HEADER_LEN];
-    let mut got = 0;
-    while got < head.len() {
-        match file.read(&mut head[got..]) {
-            Ok(0) => {
-                return Err(SnapshotError::TooShort {
-                    need: HEADER_LEN,
-                    got,
-                })
-            }
-            Ok(n) => got += n,
-            Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(SnapshotError::Io(e.to_string())),
-        }
-    }
-    if head[..6] != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    Ok(u16::from_le_bytes([head[6], head[7]]))
 }
 
 #[cfg(test)]
@@ -826,41 +661,44 @@ mod tests {
     }
 
     #[test]
-    fn load_negotiates_backing_on_header_version() {
+    fn v2_files_map_and_v1_files_convert_to_the_same_columns() {
         let snap = snapshot();
+        let in_memory = Scorer::new(snap.clone());
 
         let v1_path = temp_path("negotiate_v1");
         snap.save_as(&v1_path, SnapshotFormat::V1).expect("save v1");
         let v1 = Scorer::load(&v1_path).expect("load v1");
         assert_eq!(v1.format(), SnapshotFormat::V1);
         assert!(!v1.mapped());
+        assert_eq!(v1.loader(), "heap");
 
         let v2_path = temp_path("negotiate_v2");
         snap.save_as(&v2_path, SnapshotFormat::V2).expect("save v2");
         let v2 = Scorer::load(&v2_path).expect("load v2");
         assert_eq!(v2.format(), SnapshotFormat::V2);
-        assert_eq!(v2.mapped(), cfg!(target_endian = "little"));
-        if v2.mapped() {
-            assert_eq!(v2.loader(), "mmap");
-        }
-
-        // Forced heap load of the same v2 file: still v2, never mapped.
-        let v2h = Scorer::load_heap(&v2_path).expect("heap load v2");
-        assert_eq!(v2h.format(), SnapshotFormat::V2);
-        assert!(!v2h.mapped());
+        assert_eq!(v2.mapped(), cfg!(unix));
+        assert_eq!(v2.loader(), if cfg!(unix) { "mmap" } else { "heap" });
 
         // All three answer identically.
-        for s in [&v2, &v2h] {
-            assert_eq!(s.describe(), v1.describe());
-            assert_eq!(s.top_k(10).to_vec(), v1.top_k(10).to_vec());
+        for s in [&v1, &v2] {
+            assert_eq!(s.describe(), in_memory.describe());
+            assert_eq!(s.top_k(10).to_vec(), in_memory.top_k(10).to_vec());
             for pipe in [PipeId(0), PipeId(57), PipeId(10_000)] {
-                assert_eq!(s.risk_of(pipe), v1.risk_of(pipe));
+                assert_eq!(s.risk_of(pipe), in_memory.risk_of(pipe));
             }
-            assert_eq!(s.ranking(), v1.ranking());
+            assert_eq!(s.ranking(), in_memory.ranking());
         }
 
         std::fs::remove_file(&v1_path).ok();
         std::fs::remove_file(&v2_path).ok();
+    }
+
+    #[test]
+    #[should_panic(expected = "fails v2 validation")]
+    fn new_refuses_a_snapshot_a_file_load_would_reject() {
+        let mut snap = snapshot();
+        snap.scores[3].1 = f64::NAN;
+        let _ = Scorer::new(snap);
     }
 
     #[test]

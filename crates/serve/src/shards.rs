@@ -386,15 +386,20 @@ impl ShardSet {
 /// at `0.5` breaks to the lower table index:
 ///
 /// ```
+/// use pipefail_core::model::{RiskRanking, RiskScore};
+/// use pipefail_core::snapshot::Snapshot;
 /// use pipefail_network::ids::PipeId;
-/// use pipefail_serve::{merge_top_k, PipeRisk};
+/// use pipefail_serve::{merge_top_k, Scorer};
 ///
-/// let a = [
-///     PipeRisk { pipe: PipeId(0), score: 0.9, rank: 0 },
-///     PipeRisk { pipe: PipeId(1), score: 0.5, rank: 1 },
-/// ];
-/// let b = [PipeRisk { pipe: PipeId(7), score: 0.5, rank: 0 }];
-/// let merged = merge_top_k(&[a[..].into(), b[..].into()], 3);
+/// let shard = |region: &str, scores: &[(u32, f64)]| {
+///     let ranking = RiskRanking::new(
+///         scores.iter().map(|&(p, score)| RiskScore { pipe: PipeId(p), score }).collect(),
+///     );
+///     Scorer::new(Snapshot::new("DPMHBP", region, 7, &ranking))
+/// };
+/// let a = shard("Region A", &[(0, 0.9), (1, 0.5)]);
+/// let b = shard("Region B", &[(7, 0.5)]);
+/// let merged = merge_top_k(&[a.top_k(3), b.top_k(3)], 3);
 /// let order: Vec<(usize, u32)> =
 ///     merged.iter().map(|g| (g.shard, g.risk.pipe.0)).collect();
 /// assert_eq!(order, vec![(0, 0), (0, 1), (1, 7)]);

@@ -304,28 +304,44 @@ mod mmap_ffi {
     }
 }
 
-/// A read-only, privately mapped view of a whole file, created with raw
-/// `mmap` and released with `munmap` on drop. The mapping outlives the fd
-/// (the file is closed as soon as the map exists) and survives a
-/// rename-over of its path — the pages belong to the *inode* — which is
-/// exactly what the hot-reload publish protocol needs: the old snapshot's
-/// mapping stays valid until the last `Arc` holding it drops, while new
-/// loads map the fresh inode.
+/// The bytes a scorer serves from, 8-byte-aligned at the base either way:
 ///
-/// The base address is page-aligned by the kernel, so 8-byte-aligned
-/// offsets within the file are 8-byte-aligned in memory — the invariant
-/// the zero-copy column readers in `scorer` rely on.
-#[cfg(unix)]
-pub(crate) struct Mapping {
-    ptr: *mut std::os::raw::c_void,
-    len: usize,
+/// * **Mmap** — a read-only, privately mapped view of a whole file,
+///   created with raw `mmap` and released with `munmap` on drop. The
+///   mapping outlives the fd (the file is closed as soon as the map
+///   exists) and survives a rename-over of its path — the pages belong to
+///   the *inode* — which is exactly what the hot-reload publish protocol
+///   needs: the old snapshot's mapping stays valid until the last `Arc`
+///   holding it drops, while new loads map the fresh inode. The base is
+///   page-aligned by the kernel.
+/// * **Owned** — a heap copy backed by `Vec<u64>`, so the base is 8-aligned
+///   too: converted v1 files, in-memory snapshots, and every file on
+///   platforms without `mmap`.
+///
+/// Either way 8-byte-aligned offsets within the bytes are 8-byte-aligned
+/// in memory — the invariant the zero-copy column readers in `scorer`
+/// rely on.
+pub(crate) struct Mapping(Bytes);
+
+/// Private so that only this module can construct a pointer/length pair
+/// that [`Mapping::bytes`] trusts.
+enum Bytes {
+    #[cfg(unix)]
+    Mmap {
+        ptr: *mut std::os::raw::c_void,
+        len: usize,
+    },
+    Owned {
+        buf: Vec<u64>,
+        len: usize,
+    },
 }
 
-#[cfg(unix)]
 impl Mapping {
-    /// Map the file at `path` read-only in its entirety. Zero-length files
-    /// yield an empty mapping without calling `mmap` (which rejects
-    /// `len == 0`).
+    /// Map the file at `path` read-only in its entirety (read it into an
+    /// owned buffer where there is no `mmap`). Zero-length files yield an
+    /// empty mapping without calling `mmap` (which rejects `len == 0`).
+    #[cfg(unix)]
     pub fn map_path(path: &std::path::Path) -> io::Result<Self> {
         use std::os::unix::io::AsRawFd;
         let file = std::fs::File::open(path)?;
@@ -333,7 +349,7 @@ impl Mapping {
         let len = usize::try_from(len)
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "file exceeds address space"))?;
         if len == 0 {
-            return Ok(Mapping { ptr: std::ptr::null_mut(), len: 0 });
+            return Ok(Mapping(Bytes::Mmap { ptr: std::ptr::null_mut(), len: 0 }));
         }
         // SAFETY: plain syscall; the kernel picks the address. The fd is
         // valid for the duration of the call, and the mapping is
@@ -351,90 +367,82 @@ impl Mapping {
         if ptr as isize == -1 {
             return Err(io::Error::last_os_error());
         }
-        Ok(Mapping { ptr, len })
+        Ok(Mapping(Bytes::Mmap { ptr, len }))
     }
 
-    /// The mapped bytes.
-    pub fn bytes(&self) -> &[u8] {
-        if self.len == 0 {
-            return &[];
+    /// See the unix `map_path`: without `mmap`, read into an owned buffer.
+    #[cfg(not(unix))]
+    pub fn map_path(path: &std::path::Path) -> io::Result<Self> {
+        Ok(Self::owned(&std::fs::read(path)?))
+    }
+
+    /// Copy `bytes` into an owned 8-aligned buffer.
+    pub fn owned(bytes: &[u8]) -> Self {
+        let mut buf = vec![0u64; bytes.len().div_ceil(8)];
+        for (word, chunk) in buf.iter_mut().zip(bytes.chunks(8)) {
+            let mut le = [0u8; 8];
+            le[..chunk.len()].copy_from_slice(chunk);
+            // Native order: the word's memory bytes are exactly `le`.
+            *word = u64::from_ne_bytes(le);
         }
-        // SAFETY: `ptr` is a live PROT_READ mapping of exactly `len` bytes
-        // that we own until drop. MAP_PRIVATE means no other process can
-        // mutate our view.
-        unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
+        Mapping(Bytes::Owned { buf, len: bytes.len() })
+    }
+
+    /// True for a live `mmap`, false for an owned buffer.
+    pub fn is_mmap(&self) -> bool {
+        match self.0 {
+            #[cfg(unix)]
+            Bytes::Mmap { .. } => true,
+            Bytes::Owned { .. } => false,
+        }
+    }
+
+    /// The bytes.
+    pub fn bytes(&self) -> &[u8] {
+        match &self.0 {
+            #[cfg(unix)]
+            Bytes::Mmap { len: 0, .. } => &[],
+            // SAFETY: `ptr` is a live PROT_READ mapping of exactly `len`
+            // bytes that we own until drop. MAP_PRIVATE means no other
+            // process can mutate our view.
+            #[cfg(unix)]
+            Bytes::Mmap { ptr, len } => unsafe {
+                std::slice::from_raw_parts(*ptr as *const u8, *len)
+            },
+            // SAFETY: the u64 buffer holds at least `len` initialized
+            // bytes, and u8 has no alignment requirement.
+            Bytes::Owned { buf, len } => unsafe {
+                std::slice::from_raw_parts(buf.as_ptr() as *const u8, *len)
+            },
+        }
     }
 }
 
 // SAFETY: the mapping is immutable (PROT_READ | MAP_PRIVATE) and owned;
 // sharing references across threads is no different from sharing a
-// `&[u8]`.
-#[cfg(unix)]
+// `&[u8]`. The owned variant is a plain `Vec`.
 unsafe impl Send for Mapping {}
-#[cfg(unix)]
 unsafe impl Sync for Mapping {}
 
-#[cfg(unix)]
 impl Drop for Mapping {
     fn drop(&mut self) {
-        if self.len > 0 {
-            // SAFETY: `ptr`/`len` describe a mapping we created and have
-            // not unmapped before; after this the struct is gone.
-            unsafe { mmap_ffi::munmap(self.ptr, self.len) };
+        #[cfg(unix)]
+        if let Bytes::Mmap { ptr, len } = self.0 {
+            if len > 0 {
+                // SAFETY: `ptr`/`len` describe a mapping we created and
+                // have not unmapped before; after this the value is gone.
+                unsafe { mmap_ffi::munmap(ptr, len) };
+            }
         }
     }
 }
 
-#[cfg(unix)]
 impl std::fmt::Debug for Mapping {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Mapping").field("len", &self.len).finish()
-    }
-}
-
-/// Non-unix fallback: read the file into an 8-byte-aligned heap buffer
-/// (backed by `Vec<u64>`), preserving the alignment guarantee the column
-/// readers rely on. No page-cache sharing, but identical semantics.
-#[cfg(not(unix))]
-#[derive(Debug)]
-pub(crate) struct Mapping {
-    buf: Vec<u64>,
-    len: usize,
-}
-
-#[cfg(not(unix))]
-impl Mapping {
-    pub fn map_path(path: &std::path::Path) -> io::Result<Self> {
-        let bytes = std::fs::read(path)?;
-        let mut buf = vec![0u64; bytes.len().div_ceil(8)];
-        // SAFETY: u64 buffer reinterpreted as bytes; lengths match.
-        let dst = unsafe {
-            std::slice::from_raw_parts_mut(buf.as_mut_ptr() as *mut u8, buf.len() * 8)
-        };
-        dst[..bytes.len()].copy_from_slice(&bytes);
-        Ok(Mapping { buf, len: bytes.len() })
-    }
-
-    pub fn bytes(&self) -> &[u8] {
-        // SAFETY: the u64 buffer holds at least `len` initialized bytes.
-        unsafe { std::slice::from_raw_parts(self.buf.as_ptr() as *const u8, self.len) }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// EINTR-safe blocking reads
-// ---------------------------------------------------------------------------
-
-/// `read` that retries on `EINTR`. std's `write_all` already retries
-/// interrupted writes internally, but a bare `read` surfaces `EINTR` to
-/// the caller — which, in a connection loop, used to tear down a healthy
-/// connection when a signal landed mid-read.
-pub(crate) fn read_retry<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<usize> {
-    loop {
-        match r.read(buf) {
-            Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            other => return other,
-        }
+        f.debug_struct("Mapping")
+            .field("mmap", &self.is_mmap())
+            .field("len", &self.bytes().len())
+            .finish()
     }
 }
 
@@ -542,7 +550,12 @@ pub(crate) fn read_deadline<S: Read>(
     buf: &mut [u8],
     _deadline: Instant,
 ) -> io::Result<usize> {
-    read_retry(stream, buf)
+    loop {
+        match stream.read(buf) {
+            Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            other => return other,
+        }
+    }
 }
 
 #[cfg(not(unix))]
@@ -637,6 +650,7 @@ mod tests {
         std::fs::write(&path, &payload).expect("write");
 
         let map = Mapping::map_path(&path).expect("map");
+        assert_eq!(map.is_mmap(), cfg!(unix));
         assert_eq!(map.bytes(), &payload[..]);
         assert_eq!(map.bytes().as_ptr() as usize % 8, 0, "base must be 8-aligned");
 
@@ -654,6 +668,17 @@ mod tests {
         assert!(map.bytes().is_empty());
 
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn owned_buffer_is_aligned_and_round_trips_every_length() {
+        let payload: Vec<u8> = (0..=255u8).collect();
+        for len in [0, 1, 7, 8, 9, 255, 256] {
+            let owned = Mapping::owned(&payload[..len]);
+            assert!(!owned.is_mmap());
+            assert_eq!(owned.bytes(), &payload[..len], "len {len}");
+            assert_eq!(owned.bytes().as_ptr() as usize % 8, 0, "base must be 8-aligned");
+        }
     }
 
     #[cfg(target_os = "linux")]

@@ -1,8 +1,9 @@
 //! Live-socket e2e battery for the declarative `POST /aggregate` engine:
 //!
-//! * a monolithic server, a one-shard sharded server over the same
-//!   snapshot, and (on Linux) both connection cores answer the same
-//!   pipeline **byte-identically**;
+//! * a monolithic server and a one-shard sharded server over the same
+//!   snapshot answer the same pipeline **byte-identically**, and so does
+//!   one pipelined keep-alive connection against one request per
+//!   connection;
 //! * a multi-shard server's grouped body matches a hand-computed
 //!   reference exactly, and `?partial=1` answers the merge-ready wire
 //!   partial;
@@ -88,33 +89,28 @@ fn monolithic_and_single_shard_answer_byte_identically() {
     one_shard.shutdown();
 }
 
-#[cfg(target_os = "linux")]
+/// Pipelined on one keep-alive connection, aggregate answers (valid and
+/// malformed specs alike) are byte-identical to the same requests sent
+/// one per connection.
 #[test]
-fn both_connection_cores_answer_byte_identically() {
-    use pipefail_serve::HttpCore;
-    let mut config = server_config();
-    config.core = HttpCore::Epoll;
-    let epoll = serve(
+fn pipelined_aggregates_answer_like_one_request_per_connection() {
+    let server = serve(
         Arc::new(ServeContext::new(attr_scorer("Region A", 40, 1.0))),
-        &config,
+        &server_config(),
     )
-    .expect("epoll server starts");
-    config.core = HttpCore::Threads;
-    let threaded = serve(
-        Arc::new(ServeContext::new(attr_scorer("Region A", 40, 1.0))),
-        &config,
-    )
-    .expect("threaded server starts");
-
-    for body in [GROUP_SPEC, "{]", "{\"group_by\":[\"region\"]}"] {
-        let a = post_once(epoll.addr(), "/aggregate", body);
-        let b = post_once(threaded.addr(), "/aggregate", body);
-        assert_eq!(a.status, b.status, "{body}: {} vs {}", a.body, b.body);
-        assert_eq!(a.body, b.body, "cores drifted on {body}");
+    .expect("server starts");
+    let bodies = [GROUP_SPEC, "{]", "{\"group_by\":[\"region\"]}"];
+    let mut conn = Conn::connect(server.addr());
+    for body in bodies {
+        conn.send(&post_request("/aggregate", body, true));
     }
-
-    epoll.shutdown();
-    threaded.shutdown();
+    for body in bodies {
+        let piped = conn.read_response();
+        let alone = post_once(server.addr(), "/aggregate", body);
+        assert_eq!(piped.status, alone.status, "{body}: {} vs {}", piped.body, alone.body);
+        assert_eq!(piped.body, alone.body, "pipelining changed the bytes for {body}");
+    }
+    server.shutdown();
 }
 
 #[test]

@@ -1,13 +1,14 @@
-//! Epoll-core battery: the event-driven connection core must be
-//! *observably indistinguishable* from the thread-per-connection core.
+//! Connection-core battery: pipelining and fragmentation must be
+//! *observably invisible*.
 //!
-//! The proptest drives one client connection against two live servers —
-//! identical scorers, one per [`HttpCore`] — writing the same pipelined
-//! request stream under arbitrary partial-write schedules (chunk sizes
-//! down to one byte, with pauses) and reading the response stream back
-//! under arbitrary partial-read schedules. The two byte streams must be
-//! **identical to the last byte**: same status lines, same headers, same
-//! framing, same close behaviour. Deterministic companions pin the
+//! The proptest writes a pipelined request stream over one connection
+//! under arbitrary partial-write schedules (chunk sizes down to one byte,
+//! with pauses) and reads the response stream back under arbitrary
+//! partial-read schedules. The reference is the same requests, each sent
+//! alone on a fresh connection, with their responses concatenated. The
+//! two byte streams must be **identical to the last byte**: same status
+//! lines, same headers, same framing, same close behaviour. Deterministic
+//! companions pin the
 //! admission-control protocol: at the connection cap the longest-idle
 //! keep-alive connection is shed first (quiet close, counted), and only
 //! when nothing is sheddable does a new client get `429` +
@@ -20,7 +21,7 @@ use common::Conn;
 use pipefail_core::model::{RiskRanking, RiskScore};
 use pipefail_core::snapshot::Snapshot;
 use pipefail_network::ids::PipeId;
-use pipefail_serve::{serve, HttpCore, Scorer, ServeContext, ServerConfig, ServerHandle};
+use pipefail_serve::{serve, Scorer, ServeContext, ServerConfig, ServerHandle};
 use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -30,7 +31,7 @@ use std::time::Duration;
 
 /// 1000 pipes with strictly decreasing scores — big enough that
 /// `/top?k=1000` yields a multi-kilobyte body (so server-side writes can
-/// go partial), small and deterministic so both servers agree exactly.
+/// go partial), small and deterministic.
 fn scorer() -> Scorer {
     let n = 1000u32;
     let ranking = RiskRanking::new(
@@ -41,17 +42,16 @@ fn scorer() -> Scorer {
     Scorer::new(Snapshot::new("DPMHBP", "Region A", 7, &ranking))
 }
 
-fn start(core: HttpCore, max_connections: usize) -> ServerHandle {
+fn start(max_connections: usize) -> ServerHandle {
     serve(
         Arc::new(ServeContext::new(scorer())),
-        &ServerConfig { core, max_connections, ..ServerConfig::default() },
+        &ServerConfig { max_connections, ..ServerConfig::default() },
     )
     .expect("server start")
 }
 
 /// The request repertoire the identity proptest samples from. `/metrics`
-/// is deliberately absent: its body is the one thing the two servers
-/// legitimately disagree on (each carries its own counters).
+/// is deliberately absent: its body changes with every request counted.
 const REQUESTS: &[(&str, &str, &str)] = &[
     ("GET", "/health", ""),
     ("GET", "/top?k=3", ""),
@@ -124,19 +124,45 @@ fn exchange(addr: SocketAddr, stream: &[u8], write_chunks: &[usize], read_chunks
     out
 }
 
-/// One epoll server and one threaded server shared by every proptest
-/// case (leaked for the test binary's lifetime — starting 2 servers per
-/// case would dominate the property's runtime).
-static CORE_ADDRS: OnceLock<(SocketAddr, SocketAddr)> = OnceLock::new();
+/// Send one request alone on a fresh connection and return its response
+/// bytes exactly: the head up to the blank line plus `Content-Length`
+/// body bytes (the connection may stay open after a keep-alive answer).
+fn exchange_alone(addr: SocketAddr, request: &[u8]) -> Vec<u8> {
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    conn.write_all(request).expect("send request");
+    let mut out = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        if let Some(head_end) = out.windows(4).position(|w| w == b"\r\n\r\n") {
+            let head = String::from_utf8_lossy(&out[..head_end]).to_ascii_lowercase();
+            let len: usize = head
+                .lines()
+                .find_map(|l| l.strip_prefix("content-length:"))
+                .and_then(|v| v.trim().parse().ok())
+                .expect("Content-Length");
+            if out.len() >= head_end + 4 + len {
+                out.truncate(head_end + 4 + len);
+                return out;
+            }
+        }
+        let n = conn.read(&mut chunk).expect("read response");
+        assert!(n > 0, "closed mid-response: {:?}", String::from_utf8_lossy(&out));
+        out.extend_from_slice(&chunk[..n]);
+    }
+}
 
-fn core_addrs() -> (SocketAddr, SocketAddr) {
-    *CORE_ADDRS.get_or_init(|| {
-        let epoll = start(HttpCore::Epoll, 0);
-        let threaded = start(HttpCore::Threads, 0);
-        let pair = (epoll.addr(), threaded.addr());
-        std::mem::forget(epoll);
-        std::mem::forget(threaded);
-        pair
+/// One server shared by every proptest case (leaked for the test
+/// binary's lifetime — starting a server per case would dominate the
+/// property's runtime).
+static SERVER_ADDR: OnceLock<SocketAddr> = OnceLock::new();
+
+fn server_addr() -> SocketAddr {
+    *SERVER_ADDR.get_or_init(|| {
+        let server = start(0);
+        let addr = server.addr();
+        std::mem::forget(server);
+        addr
     })
 }
 
@@ -144,46 +170,51 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The tentpole invariant: for any request sequence and any
-    /// client-side fragmentation schedule, the epoll core and the
-    /// threaded core answer with **identical byte streams**.
+    /// client-side fragmentation schedule, one pipelined connection
+    /// answers with **exactly the bytes** the same requests get when each
+    /// is sent alone on its own connection.
     #[test]
-    fn cores_answer_byte_identically_under_arbitrary_schedules(
+    fn pipelined_stream_answers_like_one_request_per_connection(
         indices in proptest::collection::vec(0usize..REQUESTS.len(), 1..6),
         write_chunks in proptest::collection::vec(1usize..98, 1..24),
         read_chunks in proptest::collection::vec(1usize..1025, 1..8),
     ) {
-        let (ea, ta) = core_addrs();
-        let stream = render_stream(&indices);
-        let from_epoll = exchange(ea, &stream, &write_chunks, &read_chunks);
-        let from_threads = exchange(ta, &stream, &write_chunks, &read_chunks);
+        let addr = server_addr();
+        let pipelined = exchange(addr, &render_stream(&indices), &write_chunks, &read_chunks);
+        let mut alone = Vec::new();
+        for (i, &r) in indices.iter().enumerate() {
+            let request = render_request(r, i + 1 < indices.len());
+            alone.extend_from_slice(&exchange_alone(addr, request.as_bytes()));
+        }
         prop_assert_eq!(
-            String::from_utf8_lossy(&from_epoll),
-            String::from_utf8_lossy(&from_threads)
+            String::from_utf8_lossy(&pipelined),
+            String::from_utf8_lossy(&alone)
         );
     }
 }
 
-/// A malformed request must draw the same typed error + close from both
-/// cores — the error path is part of the byte-identity contract.
+/// A malformed request draws the same typed error + close whether it
+/// arrives one byte at a time or in one write — the error path is part of
+/// the byte-identity contract.
 #[test]
-fn cores_answer_parse_errors_identically() {
-    let epoll = start(HttpCore::Epoll, 0);
-    let threaded = start(HttpCore::Threads, 0);
+fn parse_errors_answer_identically_however_fragmented() {
+    let server = start(0);
     let garbage = b"GET /health HTTP/9.9\r\nHost: t\r\n\r\n";
-    let a = exchange(epoll.addr(), garbage, &[1], &[7]);
-    let b = exchange(threaded.addr(), garbage, &[1], &[7]);
-    assert_eq!(String::from_utf8_lossy(&a), String::from_utf8_lossy(&b));
-    assert!(!a.is_empty(), "expected a typed error response, got silence");
-    epoll.shutdown();
-    threaded.shutdown();
+    let dribbled = exchange(server.addr(), garbage, &[1], &[7]);
+    let whole = exchange(server.addr(), garbage, &[garbage.len()], &[4096]);
+    assert_eq!(String::from_utf8_lossy(&dribbled), String::from_utf8_lossy(&whole));
+    let text = String::from_utf8_lossy(&whole);
+    assert!(text.starts_with("HTTP/1.1 4") || text.starts_with("HTTP/1.1 5"), "{text}");
+    assert!(text.contains("Connection: close\r\n"), "{text}");
+    server.shutdown();
 }
 
-/// Byte-at-a-time writes against the epoll core: the slowest possible
+/// Byte-at-a-time writes: the slowest possible
 /// client still gets exactly framed pipelined responses (deterministic
 /// companion to the proptest, easier to debug when it fails).
 #[test]
 fn epoll_core_serves_byte_at_a_time_writes() {
-    let server = start(HttpCore::Epoll, 0);
+    let server = start(0);
     let stream = render_stream(&[0, 1, 4, 6]);
     let out = exchange(server.addr(), &stream, &[1], &[1]);
     let text = String::from_utf8_lossy(&out);
@@ -198,7 +229,7 @@ fn epoll_core_serves_byte_at_a_time_writes() {
 /// lose nothing.
 #[test]
 fn cap_sheds_longest_idle_connection_for_newcomer() {
-    let server = start(HttpCore::Epoll, 2);
+    let server = start(2);
     let addr = server.addr();
 
     let mut first = Conn::connect(addr);
@@ -214,6 +245,8 @@ fn cap_sheds_longest_idle_connection_for_newcomer() {
     let metrics = server.metrics();
     assert_eq!(metrics.connections_shed_total(), 1);
     assert_eq!(metrics.admission_rejected_total(), 0);
+    // The open-connection gauge tracks the shed: `second` and `third`.
+    assert_eq!(metrics.connections_open(), 2);
 
     // The shed connection sees a quiet close: EOF, not an error response.
     first.assert_eof();
@@ -228,7 +261,7 @@ fn cap_sheds_longest_idle_connection_for_newcomer() {
 /// instead of silently starving the accept queue.
 #[test]
 fn cap_answers_429_when_nothing_is_sheddable() {
-    let server = start(HttpCore::Epoll, 1);
+    let server = start(1);
     let addr = server.addr();
 
     // Occupy the only slot with a connection stuck *mid-request*: it has
@@ -250,21 +283,5 @@ fn cap_answers_429_when_nothing_is_sheddable() {
     let metrics = server.metrics();
     assert_eq!(metrics.admission_rejected_total(), 1);
     assert_eq!(metrics.connections_shed_total(), 0);
-    server.shutdown();
-}
-
-/// The `core` knob really selects the threaded core: a keep-alive
-/// roundtrip pair works and the connection gauge tracks open sockets on
-/// both cores the same way.
-#[test]
-fn threads_core_still_selectable_and_counts_connections() {
-    let server = start(HttpCore::Threads, 0);
-    let mut conn = Conn::connect(server.addr());
-    assert_eq!(conn.get("/health").status, 200);
-    assert_eq!(conn.get("/top?k=2").status, 200);
-    let metrics = server.metrics();
-    assert_eq!(metrics.connections_open(), 1);
-    assert_eq!(metrics.total(), 2);
-    drop(conn);
     server.shutdown();
 }

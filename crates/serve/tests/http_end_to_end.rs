@@ -126,7 +126,14 @@ fn fit_snapshot_serve_query_roundtrip() {
     assert!(text.contains("pipefail_requests{route=\"batch\"} 2"), "{text}");
     assert!(text.contains("pipefail_responses{status=\"4xx\"} 6"), "{text}");
     assert!(text.contains("pipefail_responses{status=\"5xx\"} 1"), "{text}");
-    assert!(text.contains("pipefail_request_latency_us_bucket{le=\"+Inf\"}"), "{text}");
+    assert!(
+        text.contains("pipefail_http_request_duration_seconds_bucket{route=\"top\",le=\"+Inf\"} 2"),
+        "{text}"
+    );
+    assert!(
+        text.contains("pipefail_http_request_duration_seconds_count{route=\"batch\"} 2"),
+        "{text}"
+    );
     let served: u64 = handle.metrics().total();
     assert!(served >= 10, "all requests observed: {served}");
 

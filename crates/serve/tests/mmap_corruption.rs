@@ -264,7 +264,7 @@ fn corrupt_v2_replacement_keeps_the_mapped_scorer_serving() {
     let snap = attributed_snapshot(30, 1.0, 3);
     let path = save_to_temp(&snap, "reload_v2", SnapshotFormat::V2);
     let scorer = Scorer::load(&path).expect("v2 load");
-    assert_eq!(scorer.mapped(), cfg!(target_endian = "little"));
+    assert_eq!(scorer.mapped(), cfg!(unix));
     let reference = render_top_k(&scorer, 5);
 
     let config = ServerConfig {
@@ -276,7 +276,7 @@ fn corrupt_v2_replacement_keeps_the_mapped_scorer_serving() {
     let addr = handle.addr();
     assert_eq!(get_once(addr, "/top?k=5").body, reference);
     // The serving loader really is the zero-copy one.
-    if cfg!(target_endian = "little") {
+    if cfg!(unix) {
         assert!(
             get_once(addr, "/model").body.contains("\"loader\":\"mmap\""),
             "/model must report the mmap loader"

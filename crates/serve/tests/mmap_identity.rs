@@ -1,159 +1,152 @@
-//! The cross-loader identity battery: the **memory-mapped** v2 scorer
-//! must be *byte-identical* to the **heap** scorer — and both identical to
-//! the v1 loader — on arbitrary generated snapshots, for every query
-//! surface the service exposes:
+//! The cross-source identity battery: a scorer serving a **v2 file**
+//! (memory-mapped), one serving a **v1 file** (converted to v2 bytes at
+//! load), and one built **in memory** with `Scorer::new` (also converted)
+//! must be *byte-identical* on arbitrary generated snapshots, for every
+//! query surface the service exposes:
 //!
 //! * `/top` render bodies at a spread of K values (including 0 and
 //!   over-ask);
 //! * `/pipe` point lookups for every present id and for misses;
-//! * the global top-K k-way merge over a mapped shard fleet vs a heap
-//!   shard fleet (results *and* rendered bodies);
-//! * `POST /aggregate` pipelines (grouping, budget selection) over live
-//!   servers;
-//! * and full HTTP end-to-end on **both connection cores**, comparing a
-//!   mapped-backed server's response bytes to a heap-backed twin's.
+//! * `/model`, whose only legitimate difference is the reported source
+//!   (`"format":"v2","loader":"mmap"` for the mapped file, `"v1"`/`"heap"`
+//!   for the other two);
+//! * the global top-K k-way merge over a fleet of each source (results
+//!   *and* rendered bodies);
+//! * and full HTTP end-to-end: `/top`, `/pipe`, `/batch`, `/model`, and
+//!   `POST /aggregate` (grouping, budget selection) over live servers.
 //!
-//! `/model` and `/metrics` are deliberately excluded: `/model` reports the
-//! loader (`"mmap"` vs `"heap"`) by design, and `/metrics` carries each
-//! server's own counters.
+//! `/metrics` is deliberately excluded: it carries each server's own
+//! counters.
 
 mod common;
 
 use common::snapgen::{save_to_temp, ARB_SNAPSHOT};
 use common::{get_once, post_once};
-use pipefail_core::snapshot::SnapshotFormat;
+use pipefail_core::snapshot::{Snapshot, SnapshotFormat};
 use pipefail_network::ids::PipeId;
-use pipefail_serve::http::{render_global_top_k, render_top_k};
-use pipefail_serve::{
-    serve, HttpCore, Scorer, ServeContext, ServerConfig, ServerHandle, ShardSet,
-};
+use pipefail_serve::http::{render_global_top_k, render_model, render_top_k};
+use pipefail_serve::{serve, Scorer, ServeContext, ServerConfig, ServerHandle, ShardSet};
 use proptest::prelude::*;
-use std::path::Path;
 use std::sync::Arc;
 
-fn load_pair(path: &Path) -> (Scorer, Scorer) {
-    let mapped = Scorer::load(path).expect("negotiated (mmap) load");
-    let heap = Scorer::load_heap(path).expect("heap load");
-    (mapped, heap)
+/// The same snapshot from all three sources: `[v2 file, v1 file, in
+/// memory]`, plus the two temp files to remove afterwards.
+fn three_sources(snap: &Snapshot, tag: &str) -> ([Scorer; 3], [std::path::PathBuf; 2]) {
+    let v2_path = save_to_temp(snap, &format!("{tag}_v2"), SnapshotFormat::V2);
+    let v1_path = save_to_temp(snap, &format!("{tag}_v1"), SnapshotFormat::V1);
+    let v2 = Scorer::load(&v2_path).expect("v2 load");
+    let v1 = Scorer::load(&v1_path).expect("v1 load");
+    ([v2, v1, Scorer::new(snap.clone())], [v2_path, v1_path])
 }
 
-fn start(scorer: Scorer, core: HttpCore) -> ServerHandle {
-    serve(
-        Arc::new(ServeContext::new(scorer)),
-        &ServerConfig { core, ..ServerConfig::default() },
-    )
-    .expect("server starts")
+/// A `/model` body with the mapped file's source fields rewritten to the
+/// converted sources' — the one difference the three may show.
+fn as_converted(model_body: &str) -> String {
+    model_body.replace("\"format\":\"v2\",\"loader\":\"mmap\"", "\"format\":\"v1\",\"loader\":\"heap\"")
 }
 
-fn cores() -> &'static [HttpCore] {
-    if cfg!(target_os = "linux") {
-        &[HttpCore::Epoll, HttpCore::Threads]
-    } else {
-        &[HttpCore::Threads]
-    }
+fn start(scorer: Scorer) -> ServerHandle {
+    serve(Arc::new(ServeContext::new(scorer)), &ServerConfig::default()).expect("server starts")
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Library-level identity: top-K renders, every point lookup, misses,
-    /// attribute views, and section metadata agree across the mapped v2
-    /// loader, the heap v2 loader, and the v1 loader.
+    /// attribute views, section metadata, and `/model` agree across the
+    /// three sources.
     #[test]
-    fn mapped_heap_and_v1_scorers_answer_byte_identically(snap in &ARB_SNAPSHOT) {
-        let v2_path = save_to_temp(&snap, "ident_v2", SnapshotFormat::V2);
-        let v1_path = save_to_temp(&snap, "ident_v1", SnapshotFormat::V1);
-        let (mapped, heap) = load_pair(&v2_path);
-        let v1 = Scorer::load(&v1_path).expect("v1 load");
+    fn v2_file_v1_file_and_in_memory_scorers_answer_byte_identically(snap in &ARB_SNAPSHOT) {
+        let ([mapped, v1, memory], paths) = three_sources(&snap, "ident");
 
-        // The negotiated loader really is the zero-copy one (on the
-        // little-endian targets it supports).
-        prop_assert_eq!(mapped.mapped(), cfg!(target_endian = "little"));
-        prop_assert!(!heap.mapped());
+        // The v2 file really is served zero-copy; the others own their
+        // converted bytes.
+        prop_assert_eq!(mapped.mapped(), cfg!(unix));
         prop_assert!(!v1.mapped());
+        prop_assert!(!memory.mapped());
 
         let n = snap.len();
         for k in [0, 1, 2, n / 2, n, n + 7, usize::MAX] {
             let body = render_top_k(&mapped, k);
-            prop_assert!(body == render_top_k(&heap, k), "mapped vs heap /top differs at k={}", k);
             prop_assert!(body == render_top_k(&v1, k), "v2 vs v1 /top differs at k={}", k);
+            prop_assert!(body == render_top_k(&memory, k), "v2 vs in-memory /top differs at k={}", k);
         }
 
         // Every present pipe hits identically; ids straddling the key
         // space miss identically.
         for &(pipe, _) in &snap.scores {
             let got = mapped.risk_of(pipe);
-            prop_assert_eq!(got, heap.risk_of(pipe));
             prop_assert_eq!(got, v1.risk_of(pipe));
+            prop_assert_eq!(got, memory.risk_of(pipe));
             prop_assert!(got.is_some(), "present id {} missed", pipe.0);
         }
         let max_id = snap.scores.iter().map(|s| (s.0).0).max().unwrap_or(0);
         for miss in [max_id + 1, max_id + 1000, u32::MAX] {
-            prop_assert_eq!(mapped.risk_of(PipeId(miss)), heap.risk_of(PipeId(miss)));
-            prop_assert_eq!(mapped.risk_of(PipeId(miss)), None);
+            prop_assert_eq!(mapped.risk_of(PipeId(miss)), v1.risk_of(PipeId(miss)));
+            prop_assert_eq!(memory.risk_of(PipeId(miss)), None);
         }
 
         // Attribute presence and every per-pipe attribute value agree —
-        // including the non-extractable (shuffled-field) sections the
-        // mapped loader must heap-decode from the summary blob.
-        match (mapped.attributes(), heap.attributes()) {
-            (None, None) => {}
-            (Some(a), Some(b)) => {
-                prop_assert_eq!(a.len(), b.len());
-                for i in 0..a.len() {
-                    prop_assert!(a.length_m(i) == b.length_m(i), "length_m[{}]", i);
-                    prop_assert!(a.material_index(i) == b.material_index(i), "material[{}]", i);
-                    prop_assert!(a.laid_year(i) == b.laid_year(i), "laid_year[{}]", i);
+        // including the non-extractable (shuffled-field) sections every
+        // source must decode from the summary blob.
+        for other in [&v1, &memory] {
+            match (mapped.attributes(), other.attributes()) {
+                (None, None) => {}
+                (Some(a), Some(b)) => {
+                    prop_assert_eq!(a.len(), b.len());
+                    for i in 0..a.len() {
+                        prop_assert!(a.length_m(i) == b.length_m(i), "length_m[{}]", i);
+                        prop_assert!(a.material_index(i) == b.material_index(i), "material[{}]", i);
+                        prop_assert!(a.laid_year(i) == b.laid_year(i), "laid_year[{}]", i);
+                    }
                 }
+                (a, b) => prop_assert!(false, "attribute presence differs: mapped {} other {}",
+                    a.is_some(), b.is_some()),
             }
-            (a, b) => prop_assert!(false, "attribute presence differs: mapped {} heap {}",
-                a.is_some(), b.is_some()),
         }
 
-        // Identity metadata and section inventory agree (the /model body
-        // itself differs only in its format/loader fields, by design).
-        prop_assert_eq!(mapped.model(), heap.model());
-        prop_assert_eq!(mapped.region(), heap.region());
-        prop_assert_eq!(mapped.seed(), heap.seed());
-        prop_assert_eq!(mapped.len(), heap.len());
-        prop_assert_eq!(mapped.sections_info(), heap.sections_info());
+        // Section inventory and the whole /model body agree, up to the
+        // reported source.
         prop_assert_eq!(mapped.sections_info(), v1.sections_info());
+        prop_assert_eq!(mapped.sections_info(), memory.sections_info());
+        let model = render_model(&memory);
+        prop_assert_eq!(&render_model(&v1), &model);
+        prop_assert_eq!(&as_converted(&render_model(&mapped)), &model);
 
-        std::fs::remove_file(&v2_path).ok();
-        std::fs::remove_file(&v1_path).ok();
+        for p in paths {
+            std::fs::remove_file(p).ok();
+        }
     }
 
-    /// The global top-K k-way merge over a fleet of *mapped* shards equals
-    /// the merge over the same fleet loaded on the heap — merged entries
-    /// and the rendered body both.
+    /// The global top-K k-way merge over a fleet of mapped shards equals
+    /// the merge over the same fleet from v1 files and from memory —
+    /// merged entries and the rendered body both.
     #[test]
-    fn global_top_k_is_identical_over_mapped_and_heap_shard_fleets(
+    fn global_top_k_is_identical_over_every_source_fleet(
         a in &ARB_SNAPSHOT, b in &ARB_SNAPSHOT, c in &ARB_SNAPSHOT, k in 0usize..48,
     ) {
         let mut snaps = [a, b, c];
         for (i, s) in snaps.iter_mut().enumerate() {
             s.region = format!("Region {i}"); // shard keys must be distinct
         }
-        let paths: Vec<_> = snaps
-            .iter()
-            .map(|s| save_to_temp(s, "shard_v2", SnapshotFormat::V2))
-            .collect();
-        let mapped = ShardSet::from_scorers(
-            paths.iter().map(|p| Scorer::load(p).expect("mmap load")).collect(),
-        )
-        .expect("distinct regions");
-        let heap = ShardSet::from_scorers(
-            paths.iter().map(|p| Scorer::load_heap(p).expect("heap load")).collect(),
-        )
-        .expect("distinct regions");
+        let mut fleets: [Vec<Scorer>; 3] = Default::default();
+        let mut paths = Vec::new();
+        for s in &snaps {
+            let (scorers, files) = three_sources(s, "shard");
+            for (fleet, scorer) in fleets.iter_mut().zip(scorers) {
+                fleet.push(scorer);
+            }
+            paths.extend(files);
+        }
+        let [mapped, v1, memory] =
+            fleets.map(|f| ShardSet::from_scorers(f).expect("distinct regions"));
 
         let gm = mapped.global_top_k(k).expect("no degraded shards");
-        let gh = heap.global_top_k(k).expect("no degraded shards");
-        prop_assert_eq!(&gm, &gh);
-        prop_assert_eq!(
-            render_global_top_k(&mapped, &gm, k),
-            render_global_top_k(&heap, &gh, k)
-        );
+        for other in [&v1, &memory] {
+            let go = other.global_top_k(k).expect("no degraded shards");
+            prop_assert_eq!(&gm, &go);
+            prop_assert_eq!(render_global_top_k(&mapped, &gm, k), render_global_top_k(other, &go, k));
+        }
         for p in paths {
             std::fs::remove_file(p).ok();
         }
@@ -163,61 +156,66 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Full HTTP end-to-end: a server loaded through the mmap path and a
-    /// twin loaded on the heap answer byte-identical bodies for `/top`,
-    /// `/pipe`, `/batch` (global top + point lookups), and `/aggregate` —
-    /// on **both** connection cores.
+    /// Full HTTP end-to-end: servers over the three sources answer
+    /// byte-identical bodies for `/top`, `/pipe`, `/batch` (global top +
+    /// point lookups), `/model` (up to the reported source), and
+    /// `/aggregate`.
     #[test]
-    fn live_servers_on_both_cores_answer_identically_from_either_backing(snap in &ARB_SNAPSHOT) {
-        let path = save_to_temp(&snap, "e2e_v2", SnapshotFormat::V2);
+    fn live_servers_answer_identically_from_every_source(snap in &ARB_SNAPSHOT) {
         let n = snap.len();
         let some_id = snap.scores.first().map(|s| (s.0).0).unwrap_or(0);
-        for &core in cores() {
-            let (mapped, heap) = load_pair(&path);
-            prop_assert_eq!(mapped.mapped(), cfg!(target_endian = "little"));
-            let hm = start(mapped, core);
-            let hh = start(heap, core);
+        let ([mapped, v1, memory], paths) = three_sources(&snap, "e2e");
+        prop_assert_eq!(mapped.mapped(), cfg!(unix));
+        let servers = [start(mapped), start(v1), start(memory)];
+        let labels = ["v2 file", "v1 file", "in memory"];
 
-            let gets = [
-                "/top?k=5".to_string(),
-                format!("/top?k={n}"),
-                "/top?k=0".to_string(),
-                format!("/pipe?id={some_id}"),
-                "/pipe?id=4294967295".to_string(),
-                "/health".to_string(),
-            ];
-            for p in &gets {
-                let rm = get_once(hm.addr(), p);
-                let rh = get_once(hh.addr(), p);
-                prop_assert!(rm.status == rh.status, "status for {} on {:?}: {} vs {}", p, core, rm.status, rh.status);
-                prop_assert!(rm.body == rh.body, "body for {} on {:?}:\n  mapped: {}\n  heap:   {}", p, core, rm.body, rh.body);
-            }
-
-            let batch = format!("top 5\npipe {some_id}\npipe 4294967295");
-            let bm = post_once(hm.addr(), "/batch", &batch);
-            let bh = post_once(hh.addr(), "/batch", &batch);
-            prop_assert_eq!(bm.status, bh.status);
-            prop_assert!(bm.body == bh.body, "batch body on {:?}:\n  mapped: {}\n  heap:   {}", core, bm.body, bh.body);
-
-            // Aggregations scan the attribute columns directly off the
-            // mapping; specs cover grouping, multi-aggregate, and the
-            // budget path. Snapshots without attributes must *refuse*
-            // identically too.
-            let specs = [
-                r#"{"group_by":["material"],"aggregates":[{"op":"count"},{"op":"sum","field":"length_m"},{"op":"avg","field":"risk"}]}"#,
-                r#"{"group_by":["decade"],"aggregates":[{"op":"count"},{"op":"max","field":"risk"}],"top_groups":3}"#,
-                r#"{"aggregates":[{"op":"count"},{"op":"sum","field":"length_m"}],"budget":5000.0}"#,
-            ];
+        let gets = [
+            "/top?k=5".to_string(),
+            format!("/top?k={n}"),
+            "/top?k=0".to_string(),
+            format!("/pipe?id={some_id}"),
+            "/pipe?id=4294967295".to_string(),
+            "/health".to_string(),
+            "/model".to_string(),
+        ];
+        // Aggregations scan the attribute columns in place; specs cover
+        // grouping, multi-aggregate, and the budget path. Snapshots
+        // without attributes must *refuse* identically too.
+        let specs = [
+            r#"{"group_by":["material"],"aggregates":[{"op":"count"},{"op":"sum","field":"length_m"},{"op":"avg","field":"risk"}]}"#,
+            r#"{"group_by":["decade"],"aggregates":[{"op":"count"},{"op":"max","field":"risk"}],"top_groups":3}"#,
+            r#"{"aggregates":[{"op":"count"},{"op":"sum","field":"length_m"}],"budget":5000.0}"#,
+        ];
+        let batch = format!("top 5\npipe {some_id}\npipe 4294967295");
+        let answers = |h: &ServerHandle| {
+            let mut out: Vec<(u16, String)> = gets
+                .iter()
+                .map(|p| {
+                    let r = get_once(h.addr(), p);
+                    (r.status, as_converted(&r.body))
+                })
+                .collect();
+            let r = post_once(h.addr(), "/batch", &batch);
+            out.push((r.status, r.body));
             for spec in specs {
-                let am = post_once(hm.addr(), "/aggregate", spec);
-                let ah = post_once(hh.addr(), "/aggregate", spec);
-                prop_assert!(am.status == ah.status, "aggregate status on {:?}: {} vs {}", core, am.status, ah.status);
-                prop_assert!(am.body == ah.body, "aggregate body on {:?}:\n  mapped: {}\n  heap:   {}", core, am.body, ah.body);
+                let r = post_once(h.addr(), "/aggregate", spec);
+                out.push((r.status, r.body));
             }
-
-            hm.shutdown();
-            hh.shutdown();
+            out
+        };
+        let reference = answers(&servers[0]);
+        for (h, label) in servers.iter().zip(labels).skip(1) {
+            let got = answers(h);
+            for (i, (want, got)) in reference.iter().zip(&got).enumerate() {
+                prop_assert!(want == got, "answer {} from the {} server:\n  v2 file: {:?}\n  {}: {:?}",
+                    i, label, want, label, got);
+            }
         }
-        std::fs::remove_file(&path).ok();
+        for h in servers {
+            h.shutdown();
+        }
+        for p in paths {
+            std::fs::remove_file(p).ok();
+        }
     }
 }

@@ -61,14 +61,11 @@ USAGE:
       Fit all five compared models and print the AUC table (--full uses the
       full MCMC schedules).
   pipefail snapshot --data DIR --out FILE [--model NAME] [--seed N] [--full]
-                    [--format v1|v2]
       Fit a model and freeze its posterior summary plus the full risk
-      ranking into a versioned snapshot file (see docs/SNAPSHOT_FORMAT.md).
-      --format picks the encoding: v2 (default) is the aligned columnar
-      layout the server memory-maps for O(ms) loads; v1 is the legacy
-      heap-parsed layout. Per-pipe attributes (length, material, laid year)
-      are embedded so the server can answer POST /aggregate pipelines (see
-      docs/AGGREGATE.md).
+      ranking into a PFSNAP v2 snapshot file, the aligned columnar layout
+      the server memory-maps for O(ms) loads (see docs/SNAPSHOT_FORMAT.md).
+      Per-pipe attributes (length, material, laid year) are embedded so the
+      server can answer POST /aggregate pipelines (see docs/AGGREGATE.md).
   pipefail serve (--snapshot FILE [--snapshot FILE ...] | --snapshot-dir DIR
                   | --backend KEY=HOST:PORT [--backend KEY=HOST:PORT ...])
                  [--addr HOST:PORT] [--data DIR] [--max-requests N]
@@ -83,10 +80,9 @@ USAGE:
       PIPEFAIL_HTTP_IDLE_SECS, PIPEFAIL_HTTP_KEEPALIVE_REQS, and
       PIPEFAIL_HTTP_RELOAD_SECS (N > 0 polls every watched snapshot file
       every N seconds and hot-swaps shards independently); see
-      docs/SERVING.md. Connection-core knobs: PIPEFAIL_HTTP_CORE
-      (epoll|threads; the epoll event loop is the Linux default),
-      PIPEFAIL_HTTP_MAX_CONNS (open-connection cap, idle keep-alive
-      connections are shed first, 0 = unlimited) and
+      docs/SERVING.md. Serving runs on a Linux epoll event loop, with
+      admission knobs PIPEFAIL_HTTP_MAX_CONNS (open-connection cap, idle
+      keep-alive connections are shed first, 0 = unlimited) and
       PIPEFAIL_HTTP_INFLIGHT (in-flight request cap answering 429 +
       Retry-After, 0 = unbounded).
       Repeated --backend flags start a *federation front-end* instead: no
@@ -258,18 +254,14 @@ fn cmd_snapshot(options: &Options) -> Result<(), String> {
             .map(|s| f64::from(ds.pipe(s.pipe).laid_year))
             .collect(),
     ));
-    let format = match opt(options, "format") {
-        None => SnapshotFormat::V2,
-        Some(label) => SnapshotFormat::parse(label)
-            .ok_or_else(|| format!("unknown --format {label:?} (expected v1 or v2)"))?,
-    };
     let path = PathBuf::from(out);
-    snap.save_as(&path, format).map_err(|e| e.to_string())?;
+    snap.save_as(&path, SnapshotFormat::V2).map_err(|e| e.to_string())?;
     println!(
-        "{}: froze {} ranked pipes + {} posterior sections ({format}) -> {}",
+        "{}: froze {} ranked pipes + {} posterior sections ({}) -> {}",
         snap.model,
         snap.scores.len(),
         snap.sections.len(),
+        SnapshotFormat::V2,
         path.display()
     );
     Ok(())
