@@ -2,29 +2,29 @@
 //!
 //! Snapshots only change at discrete hot-reload epochs, so between swaps
 //! every `/top`, `/pipe`, and `/aggregate` answer is a pure function of
-//! `(epoch, normalized query)`. [`CachingHandler`] wraps either router
-//! ([`crate::http::LocalRouter`] or the federation front-end) behind the
-//! shared [`RequestHandler`] seam, so the connection core gets caching,
-//! `ETag`/`304` revalidation, and `HEAD` synthesis without knowing it
-//! exists.
+//! `(epoch, normalized query)`. [`CachingHandler`] fronts the route table
+//! of any topology behind the shared [`RequestHandler`] seam, so the
+//! connection core gets caching, `ETag`/`304` revalidation, and `HEAD`
+//! synthesis without knowing it exists.
 //!
 //! **Correctness comes from epochs, not TTLs.** Every cache key embeds a
-//! state generation:
+//! state generation read from the fleet:
 //!
-//! * region-scoped queries key on that shard's [`crate::shards::Shard::epoch`]
-//!   — bumped by every swap *and* every degrade, so a hot-reload or a
-//!   corrupt-swap degrade retires exactly that shard's entries;
+//! * region-scoped queries key on that member's exact epoch — an
+//!   in-process shard's [`crate::shards::Shard::epoch`], bumped by every
+//!   swap *and* every degrade, so a hot-reload or a corrupt-swap degrade
+//!   retires exactly that shard's entries. A remote backend has no exact
+//!   epoch at the front, so its region relays pass through and the
+//!   backend's own cache serves them;
 //! * fleet-scoped artefacts (the global top-K merge, `/aggregate`) key on
-//!   [`crate::shards::ShardSet::fleet_epoch`] — any shard's change retires
-//!   them;
-//! * the federation front-end keys its merged artefacts on
-//!   [`crate::federation::Federation::generation`], which advances on
-//!   every backend health transition and every observed backend snapshot
-//!   epoch (carried in the `X-Pipefail-Epoch` response header and read by
-//!   the health prober), bounding staleness by the probe interval.
+//!   the fleet generation, the sum of every member's — any shard's swap or
+//!   degrade, any backend health transition, and any observed backend
+//!   snapshot epoch (carried in the `X-Pipefail-Epoch` response header and
+//!   read by the health prober, bounding staleness by the probe interval)
+//!   retires them.
 //!
-//! Only **full 200s** are stored. Degraded-shard 503s, partial federation
-//! merges (`X-Pipefail-Partial`), typed 4xx — anything whose body depends
+//! Only **full 200s** are stored. Degraded-shard 503s, partial fleet
+//! answers (`X-Pipefail-Partial`), typed 4xx — anything whose body depends
 //! on transient health — is never cached ("per-epoch-per-health-state or
 //! not at all": we choose not at all, and the epoch bump on degrade/heal
 //! keeps even the 200s exact). A store additionally revalidates that the
@@ -44,8 +44,8 @@
 //! pooled frame buffer, so a cache hit allocates nothing on the
 //! request path once the pools are warm.
 
-use crate::federation::Federation;
-use crate::http::{RequestHandler, Response, ServeContext};
+use crate::fleet::{Backend, Fleet};
+use crate::http::{route_request, RequestHandler, Response, Topology};
 use crate::metrics::{Metrics, Route};
 use crate::parser::ParsedRequest;
 use crate::query;
@@ -84,63 +84,42 @@ const FNV_BASIS_B: u64 = 0x6c62_272e_07bb_0142;
 /// Which state generation covers a cacheable request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Scope {
-    /// One local shard: epoch = [`crate::shards::Shard::epoch`].
+    /// One fleet member with an exact epoch (an in-process shard).
     Shard(usize),
-    /// The whole local fleet: epoch = [`crate::shards::ShardSet::fleet_epoch`].
+    /// The whole fleet: epoch = the fleet generation.
     Fleet,
-    /// The federation's merged artefact: epoch =
-    /// [`Federation::generation`].
-    Federation,
-}
-
-/// Metric side effects an *uncached* request would have had. Replayed on
-/// every hit, coalesced wait, and `304`, so `/metrics` reads identically
-/// whether or not the cache answered — the per-shard request counters
-/// stay a truthful account of which shard's data served each query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Effects {
-    /// One shard answered (`shard_request(i)`).
-    Shard(usize),
-    /// Local scatter-gather global top-K (`global_topk` only).
-    GlobalTopK,
-    /// Federated global top-K: every backend scattered, then the merge.
-    FanoutTopK(usize),
-    /// Aggregate fan-out: every shard/backend computed a partial.
-    Fanout(usize),
-}
-
-impl Effects {
-    fn replay(self, metrics: &Metrics) {
-        match self {
-            Effects::Shard(i) => metrics.shard_request(i),
-            Effects::GlobalTopK => metrics.global_topk(),
-            Effects::FanoutTopK(n) => {
-                for i in 0..n {
-                    metrics.shard_request(i);
-                }
-                metrics.global_topk();
-            }
-            Effects::Fanout(n) => {
-                for i in 0..n {
-                    metrics.shard_request(i);
-                }
-            }
-        }
-    }
 }
 
 /// A classified cacheable request: its route, covering scope, the epoch
-/// read *before* dispatch, the full canonical key, and the replayable
-/// side effects.
+/// read *before* dispatch, and the full canonical key.
 struct Spec {
     route: Route,
     scope: Scope,
     epoch: u64,
     key: Arc<str>,
-    effects: Effects,
     /// GET routes get an epoch-derived `ETag`; `/aggregate` (POST) does
     /// not.
     etag: Option<Arc<str>>,
+}
+
+impl Spec {
+    /// Replay the metric side effects the uncached request would have had
+    /// (on every hit, coalesced wait, and `304`), so `/metrics` reads
+    /// identically whether or not the cache answered. Only full answers
+    /// are cached, so a fleet-scope one counts every member.
+    fn replay(&self, metrics: &Metrics, members: usize) {
+        match self.scope {
+            Scope::Shard(i) => metrics.shard_request(i),
+            Scope::Fleet => {
+                for i in 0..members {
+                    metrics.shard_request(i);
+                }
+                if self.route == Route::Top {
+                    metrics.global_topk();
+                }
+            }
+        }
+    }
 }
 
 /// One stored rendered response. Only full 200s are ever constructed.
@@ -148,7 +127,6 @@ struct Entry {
     content_type: &'static str,
     body: Arc<str>,
     etag: Option<Arc<str>>,
-    effects: Effects,
 }
 
 impl Entry {
@@ -321,7 +299,6 @@ impl LruShard {
                 content_type: "",
                 body: Arc::from(""),
                 etag: None,
-                effects: Effects::GlobalTopK,
             });
             evictions += 1;
         }
@@ -415,26 +392,15 @@ impl Drop for FlightGuard<'_> {
     }
 }
 
-/// Which router the cache fronts — and therefore where epochs come from.
-pub(crate) enum CacheTopology {
-    /// Monolithic or in-process sharded serving: epochs are the local
-    /// shard counters.
-    Local(Arc<ServeContext>),
-    /// Federation front end: the only cacheable artefacts are the merged
-    /// fleet-scope answers, keyed on the health-and-epoch generation.
-    /// Region-relayed requests pass through — the backend's own cache
-    /// serves them with exact epochs.
-    Federated(Arc<Federation>),
-}
-
-/// The [`RequestHandler`] decorator that gives every router the result
-/// cache, `ETag`/`304` revalidation, and `HEAD` synthesis. Always
-/// installed — with `PIPEFAIL_CACHE=off` the LRU and single-flight gate
-/// are skipped but `ETag`, `304`, `HEAD`, and the `X-Pipefail-Epoch`
-/// header remain, so observable behaviour never depends on the knob.
-pub(crate) struct CachingHandler {
-    inner: Arc<dyn RequestHandler>,
-    topology: CacheTopology,
+/// The [`RequestHandler`] every topology serves: [`route_request`] behind
+/// the result cache, `ETag`/`304` revalidation, and `HEAD` synthesis.
+/// With `PIPEFAIL_CACHE=off` the LRU and single-flight gate are skipped
+/// but `ETag`, `304`, `HEAD`, and the `X-Pipefail-Epoch` header remain,
+/// so observable behaviour never depends on the knob.
+pub(crate) struct CachingHandler<T> {
+    topo: Arc<T>,
+    /// `Retry-After` seconds for the route table's `503`s.
+    retry_after_secs: u64,
     cache: Option<ResultCache>,
     /// How long a coalesced waiter blocks before giving up and computing
     /// itself (the request timeout — past that the client is gone anyway).
@@ -444,38 +410,43 @@ pub(crate) struct CachingHandler {
     epoch_token: Mutex<(u64, Arc<str>)>,
 }
 
-impl CachingHandler {
+impl<T: Topology> CachingHandler<T> {
     pub(crate) fn new(
-        inner: Arc<dyn RequestHandler>,
-        topology: CacheTopology,
+        topo: Arc<T>,
+        retry_after_secs: u64,
         config: &crate::http::ServerConfig,
     ) -> Self {
         Self {
-            inner,
-            topology,
+            topo,
+            retry_after_secs,
             cache: config.cache.then(|| ResultCache::new(config.cache_bytes)),
             wait_timeout: Duration::from_secs_f64(config.request_timeout_secs.max(0.001)),
             epoch_token: Mutex::new((0, Arc::from("0"))),
         }
     }
 
+    fn fleet(&self) -> &Fleet<T::Member> {
+        self.topo.fleet()
+    }
+
+    /// Answer through the route table, uncached.
+    fn route(&self, req: &ParsedRequest, metrics: &Metrics) -> (Route, Response) {
+        route_request(req, &*self.topo, metrics, self.retry_after_secs)
+    }
+
     /// The current epoch for a scope. Reads are cheap atomic loads; the
-    /// fleet value is a sum so any shard's change moves it.
+    /// fleet value is a sum so any member's change moves it.
     fn epoch_of(&self, scope: Scope) -> u64 {
-        match (&self.topology, scope) {
-            (CacheTopology::Local(ctx), Scope::Shard(i)) => ctx.shards().shards()[i].epoch(),
-            (CacheTopology::Local(ctx), _) => ctx.shards().fleet_epoch(),
-            (CacheTopology::Federated(fed), _) => fed.generation(),
+        match scope {
+            Scope::Shard(i) => self.fleet().members()[i].exact_epoch().unwrap_or_default(),
+            Scope::Fleet => self.fleet().epoch(),
         }
     }
 
     /// The fleet-wide epoch advertised in `X-Pipefail-Epoch` — what a
     /// federation front end's prober reads to notice a backend reload.
     fn fleet_token(&self) -> Arc<str> {
-        let epoch = match &self.topology {
-            CacheTopology::Local(ctx) => ctx.shards().fleet_epoch(),
-            CacheTopology::Federated(fed) => fed.generation(),
-        };
+        let epoch = self.fleet().epoch();
         let mut slot = self.epoch_token.lock().unwrap_or_else(|p| p.into_inner());
         if slot.0 != epoch {
             *slot = (epoch, Arc::from(epoch.to_string().as_str()));
@@ -483,90 +454,51 @@ impl CachingHandler {
         Arc::clone(&slot.1)
     }
 
+    /// The scope covering a `/top` or `/pipe`: the member a region-tagged
+    /// request (or any request to a one-member fleet) routes to, else the
+    /// fleet. `None` — pass through uncached — for an unknown region or a
+    /// member without an exact epoch here.
+    fn scope_of(&self, req: &ParsedRequest) -> Option<Scope> {
+        let fleet = self.fleet();
+        let idx = match query::param(&req.query, "region") {
+            Some(key) => fleet.index_of(key)?,
+            None if fleet.is_single() => 0,
+            None => return Some(Scope::Fleet),
+        };
+        fleet.members()[idx].exact_epoch()?;
+        Some(Scope::Shard(idx))
+    }
+
     /// Classify a request: `Some` iff its 200 body is a pure function of
     /// `(epoch, canonical key)`. Anything else — unknown regions, bad
-    /// parameters, regionless `/pipe`, federation relays — passes through
-    /// untouched.
+    /// parameters, regionless `/pipe`, remote region relays — passes
+    /// through untouched.
     fn classify(&self, req: &ParsedRequest) -> Option<Spec> {
         let spec = match (req.method.as_str(), req.path.as_str()) {
             ("GET", "/top") => {
                 let k = query::top_k(&req.query).ok()?;
-                match (query::param(&req.query, "region"), &self.topology) {
-                    (Some(_), CacheTopology::Federated(_)) => return None,
-                    (Some(key), CacheTopology::Local(ctx)) => {
-                        let idx = ctx.shards().index_of(key)?;
-                        self.spec(
-                            Route::Top,
-                            Scope::Shard(idx),
-                            format!("top|s{idx}|k{k}"),
-                            Effects::Shard(idx),
-                            true,
-                        )
-                    }
-                    (None, CacheTopology::Local(ctx)) if ctx.shards().is_single() => self.spec(
-                        Route::Top,
-                        Scope::Shard(0),
-                        format!("top|s0|k{k}"),
-                        Effects::Shard(0),
-                        true,
-                    ),
-                    (None, CacheTopology::Local(_)) => self.spec(
-                        Route::Top,
-                        Scope::Fleet,
-                        format!("gtop|k{k}"),
-                        Effects::GlobalTopK,
-                        true,
-                    ),
-                    (None, CacheTopology::Federated(fed)) => self.spec(
-                        Route::Top,
-                        Scope::Federation,
-                        format!("gtop|k{k}"),
-                        Effects::FanoutTopK(fed.backend_count()),
-                        true,
-                    ),
-                }
+                let scope = self.scope_of(req)?;
+                let tail = match scope {
+                    Scope::Shard(i) => format!("top|s{i}|k{k}"),
+                    Scope::Fleet => format!("gtop|k{k}"),
+                };
+                self.spec(Route::Top, scope, tail, true)
             }
             ("GET", "/pipe") => {
                 let id = query::pipe_id(&req.query).ok()?;
-                match (query::param(&req.query, "region"), &self.topology) {
-                    (_, CacheTopology::Federated(_)) => return None,
-                    (Some(key), CacheTopology::Local(ctx)) => {
-                        let idx = ctx.shards().index_of(key)?;
-                        self.spec(
-                            Route::Pipe,
-                            Scope::Shard(idx),
-                            format!("pipe|s{idx}|i{id}"),
-                            Effects::Shard(idx),
-                            true,
-                        )
-                    }
-                    (None, CacheTopology::Local(ctx)) if ctx.shards().is_single() => self.spec(
-                        Route::Pipe,
-                        Scope::Shard(0),
-                        format!("pipe|s0|i{id}"),
-                        Effects::Shard(0),
-                        true,
-                    ),
-                    (None, CacheTopology::Local(_)) => return None,
-                }
+                let Scope::Shard(i) = self.scope_of(req)? else {
+                    return None;
+                };
+                self.spec(Route::Pipe, Scope::Shard(i), format!("pipe|s{i}|i{id}"), true)
             }
             ("POST", "/aggregate") => {
                 let partial = u8::from(query::wants_partial(&req.query));
                 let a = fnv64(FNV_BASIS, req.body.as_bytes());
                 let b = fnv64(FNV_BASIS_B, req.body.as_bytes());
-                let (scope, effects) = match &self.topology {
-                    CacheTopology::Local(ctx) => {
-                        (Scope::Fleet, Effects::Fanout(ctx.shards().len()))
-                    }
-                    CacheTopology::Federated(fed) => {
-                        (Scope::Federation, Effects::Fanout(fed.backend_count()))
-                    }
-                };
                 self.spec(
                     Route::Aggregate,
-                    scope,
+                    Scope::Fleet,
                     format!("agg|p{partial}|{a:016x}{b:016x}"),
-                    effects,
                     false,
                 )
             }
@@ -575,13 +507,13 @@ impl CachingHandler {
         Some(spec)
     }
 
-    fn spec(&self, route: Route, scope: Scope, tail: String, effects: Effects, etag: bool) -> Spec {
+    fn spec(&self, route: Route, scope: Scope, tail: String, etag: bool) -> Spec {
         let epoch = self.epoch_of(scope);
         let key: Arc<str> = Arc::from(format!("{epoch:x}|{tail}").as_str());
         let etag = etag.then(|| {
             Arc::from(format!("\"{:016x}\"", fnv64(FNV_BASIS, key.as_bytes())).as_str())
         });
-        Spec { route, scope, epoch, key, effects, etag }
+        Spec { route, scope, epoch, key, etag }
     }
 
     /// Rebuild the full response from a stored entry: shared body, shared
@@ -606,7 +538,7 @@ impl CachingHandler {
     ) -> (Route, Response) {
         let mut guard =
             FlightGuard { cache, key: &spec.key, flight, metrics, armed: true };
-        let (route, mut response) = self.inner.handle(req, metrics);
+        let (route, mut response) = self.route(req, metrics);
         let entry = self.storable(spec, &mut response);
         guard.armed = false;
         cache.finish(&spec.key, flight, entry, metrics);
@@ -634,7 +566,6 @@ impl CachingHandler {
             content_type: response.content_type,
             body,
             etag: spec.etag.clone(),
-            effects: spec.effects,
         }))
     }
 
@@ -649,7 +580,7 @@ impl CachingHandler {
         // without touching the cache or the scorer.
         if let (Some(etag), Some(inm)) = (&spec.etag, &req.if_none_match) {
             if inm.as_str() == etag.as_ref() {
-                spec.effects.replay(metrics);
+                spec.replay(metrics, self.fleet().len());
                 metrics.cache_hit();
                 let mut response = Response::json(304, "");
                 response.etag = Some(Arc::clone(etag));
@@ -658,7 +589,7 @@ impl CachingHandler {
         }
         let Some(cache) = &self.cache else {
             // Cache off: same classification, same ETags, no storage.
-            let (route, mut response) = self.inner.handle(req, metrics);
+            let (route, mut response) = self.route(req, metrics);
             if response.status == 200
                 && !response.headers.iter().any(|(n, _)| *n == "X-Pipefail-Partial")
             {
@@ -669,7 +600,7 @@ impl CachingHandler {
         match cache.admit(&spec.key) {
             Admission::Hit(entry) => {
                 metrics.cache_hit();
-                entry.effects.replay(metrics);
+                spec.replay(metrics, self.fleet().len());
                 (spec.route, self.entry_response(&entry))
             }
             Admission::Lead(flight) => {
@@ -679,21 +610,21 @@ impl CachingHandler {
             Admission::Join(flight) => match flight.wait(self.wait_timeout) {
                 Some(Some(entry)) => {
                     metrics.cache_coalesced();
-                    entry.effects.replay(metrics);
+                    spec.replay(metrics, self.fleet().len());
                     (spec.route, self.entry_response(&entry))
                 }
                 // Leader's answer was uncacheable (or it wedged): compute
                 // our own — correctness never depends on the gate.
                 _ => {
                     metrics.cache_miss();
-                    self.inner.handle(req, metrics)
+                    self.route(req, metrics)
                 }
             },
         }
     }
 }
 
-impl RequestHandler for CachingHandler {
+impl<T: Topology> RequestHandler for CachingHandler<T> {
     fn handle(&self, req: &ParsedRequest, metrics: &Metrics) -> (Route, Response) {
         // HEAD = GET minus the body bytes (`Content-Length` still reports
         // the body's length). Synthesized here so every GET route — and
@@ -708,7 +639,7 @@ impl RequestHandler for CachingHandler {
         };
         let (route, mut response) = match self.classify(req) {
             Some(spec) => self.handle_cacheable(&spec, req, metrics),
-            None => self.inner.handle(req, metrics),
+            None => self.route(req, metrics),
         };
         response.head_only = head_only;
         response.epoch_token = Some(self.fleet_token());
@@ -725,7 +656,6 @@ mod tests {
             content_type: "application/json",
             body: Arc::from(body),
             etag: None,
-            effects: Effects::Shard(0),
         })
     }
 

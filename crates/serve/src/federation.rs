@@ -1,23 +1,20 @@
 //! Remote-shard federation: one front-end process routing `?region=K`
 //! queries to backend serve processes over keep-alive TCP.
 //!
-//! PR 5 put a fleet of regional snapshots behind one *in-process*
-//! [`crate::shards::ShardSet`]; this module moves the shard boundary
-//! across the network. Each backend is an ordinary `pipefail serve`
-//! process owning one region; the front-end holds no snapshots at all —
-//! only addresses, health state, and a connection pool per backend.
-//! Region-tagged requests relay to one backend; region-less `/top`
-//! scatter-gathers every backend's top-K and merges with the same bounded
-//! k-way merge ([`crate::shards::merge_top_k`]) and the same serializer as
-//! the in-process sharded server, so federated bodies are byte-identical
-//! to monolithic ones (pinned by proptest in the e2e battery). Declarative
-//! `POST /aggregate` pipelines federate the same way: the spec is
-//! forwarded verbatim to every backend's `/aggregate?partial=1`, the
-//! merge-ready partial states come back over the wire (every f64 as
-//! shortest-round-trip text, so re-parsing recovers exact bits), and the
-//! front-end merges them fold-left in sorted-key order — the same
-//! canonical computation as the crate-internal `merge_partials` in
-//! process, hence byte-identical bodies again.
+//! An in-process [`crate::shards::ShardSet`] is a [`Fleet`] of local
+//! shards; a [`Federation`] is a fleet of remote backends, and this module
+//! is only what makes a member remote. Each backend is an ordinary
+//! `pipefail serve` process owning one region; the front-end holds no
+//! snapshots at all — only addresses, health state, and a connection pool
+//! per backend. Routing, the global top-K merge, `/aggregate`, and the
+//! degrade policy are the shared fleet engine ([`crate::fleet`]), so
+//! federated bodies are byte-identical to in-process ones (pinned by
+//! proptest in the e2e battery). A region-tagged request relays to its
+//! backend; a region-less `/top` scatters `/top?k=K` to every backend and
+//! merges the parsed columns; `POST /aggregate` forwards the spec verbatim
+//! to every backend's `/aggregate?partial=1`, and the merge-ready partial
+//! states come back over the wire (every f64 as shortest-round-trip text,
+//! so re-parsing recovers exact bits).
 //!
 //! ## Robustness model
 //!
@@ -39,27 +36,27 @@
 //!   latency (or a fixed `PIPEFAIL_FED_HEDGE_MS`), a duplicate request is
 //!   fired on a second connection and the first well-formed answer wins —
 //!   the classic tail-at-scale move for slow-but-alive backends.
-//! * **Typed degradation** — a `Down` backend 503s *only its own region*
-//!   (with `Retry-After` derived from the probe interval); sibling
-//!   regions keep serving, and the global top-K merges the live fleet,
-//!   flagging missing regions in an `X-Pipefail-Partial` header instead
-//!   of failing the whole query.
+//! * **Typed degradation** — a `Down` or failing backend is a dark fleet
+//!   member: it 503s *only its own region* (with `Retry-After` derived
+//!   from the probe interval); sibling regions keep serving, and the
+//!   global top-K and `/aggregate` answer over the live fleet behind an
+//!   `X-Pipefail-Partial` header — the fleet engine's one degrade policy.
+//!   A backend's typed 4xx is the client's error, not the backend's: it
+//!   never counts against the backend's health.
 //!
 //! Every failure mode maps to a [`FederationError`] — never a panic or a
 //! hung connection (the fault-injection e2e battery drives drops, delays,
 //! truncations, resets, and garbage through all of these paths).
 
-use crate::aggregate::{self, AggregateSpec, Json};
-use crate::http::{
-    self, query_param, render_global_top_k_keys, serve_handler, unknown_region_body_keys,
-    RequestHandler, Response, ServerConfig, ServerHandle,
-};
-use crate::metrics::{Metrics, Route};
+use crate::aggregate::{self, AggregateError, AggregatePartial, AggregateSpec, Json};
+use crate::fleet::{Ask, Backend, Fleet, Miss, TopTable};
+use crate::http::{json_str, serve_topology, Response, ServerConfig, ServerHandle, Topology};
+use crate::metrics::Metrics;
 use crate::parser::ParsedRequest;
 use crate::reload::sleep_interruptible;
-use crate::scorer::RiskSlice;
-use crate::shards::{merge_top_k, region_key, GlobalRisk};
+use crate::shards::region_key;
 use crate::ServeError;
+use pipefail_par::TaskPool;
 use std::fmt;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -248,6 +245,22 @@ impl fmt::Display for FederationError {
 
 impl std::error::Error for FederationError {}
 
+impl FederationError {
+    /// The typed front-end response for this failure: its status, and a
+    /// body naming the region when the backend is down.
+    fn response(&self) -> Response {
+        let body = match self {
+            Self::BackendDown { backend, .. } => format!(
+                "{{\"error\":{},\"region\":{}}}",
+                json_str(&self.to_string()),
+                json_str(backend)
+            ),
+            _ => format!("{{\"error\":{}}}", json_str(&self.to_string())),
+        };
+        Response::json(self.status(), body)
+    }
+}
+
 /// A backend's health, driven by passive failure marking and the periodic
 /// probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -315,17 +328,20 @@ impl LatencyRing {
 /// One remote backend: address, health, a small keep-alive connection
 /// pool, and a latency ring feeding the hedge delay.
 #[derive(Debug)]
-struct Backend {
+pub(crate) struct Remote {
     key: String,
     addr: SocketAddr,
+    config: Arc<FedConfig>,
     health: Mutex<Health>,
     pool: Mutex<Vec<TcpStream>>,
     latencies: Mutex<LatencyRing>,
-    /// Change counter feeding [`Federation::generation`] (the front-end
-    /// cache's epoch analogue): bumped on every health-state *transition*
-    /// and every observed backend snapshot-epoch change, so the front
-    /// end's fleet-scope cache entries key on exactly the state that can
-    /// change a merged body.
+    /// Change counter feeding the fleet generation (the front-end cache's
+    /// epoch): bumped on every health-state *transition* and every
+    /// observed backend snapshot-epoch change, so the front end's
+    /// fleet-scope cache entries key on exactly the state that can change
+    /// a merged body. Staleness is bounded by the probe interval, since
+    /// probes carry the backends' epochs even when no request traffic
+    /// does.
     changes: AtomicU64,
     /// Last `X-Pipefail-Epoch` this backend advertised (0 = never seen).
     last_epoch: AtomicU64,
@@ -334,11 +350,12 @@ struct Backend {
 /// Idle keep-alive connections kept per backend.
 const POOL_CAP: usize = 4;
 
-impl Backend {
-    fn new(key: String, addr: SocketAddr) -> Self {
+impl Remote {
+    fn new(key: String, addr: SocketAddr, config: Arc<FedConfig>) -> Self {
         Self {
             key,
             addr,
+            config,
             health: Mutex::new(Health {
                 state: BackendState::Healthy,
                 consecutive_failures: 0,
@@ -436,11 +453,13 @@ struct BackendReply {
     epoch: Option<u64>,
 }
 
-/// The federation: a sorted fleet of backends plus the tuning knobs.
+/// The federation: a fleet of remote backends plus the tuning knobs.
 #[derive(Debug)]
 pub struct Federation {
-    backends: Vec<Arc<Backend>>,
-    config: FedConfig,
+    fleet: Fleet<Remote>,
+    /// One scatter thread per backend.
+    pool: TaskPool,
+    config: Arc<FedConfig>,
 }
 
 impl Federation {
@@ -451,9 +470,6 @@ impl Federation {
         targets: Vec<(String, String)>,
         config: FedConfig,
     ) -> Result<Self, ServeError> {
-        if targets.is_empty() {
-            return Err(ServeError::BadConfig("no federation backends".into()));
-        }
         if config.request_timeout_secs <= 0.0 {
             return Err(ServeError::BadConfig(
                 "fed request timeout must be positive".into(),
@@ -462,6 +478,7 @@ impl Federation {
         if config.probe_secs <= 0.0 {
             return Err(ServeError::BadConfig("fed probe interval must be positive".into()));
         }
+        let config = Arc::new(config);
         let mut backends = Vec::with_capacity(targets.len());
         for (raw_key, raw_addr) in targets {
             let key = region_key(&raw_key);
@@ -481,48 +498,22 @@ impl Federation {
                         "backend {key}: address {raw_addr:?} resolved to nothing"
                     ))
                 })?;
-            backends.push(Arc::new(Backend::new(key, addr)));
+            backends.push((key.clone(), Remote::new(key, addr, Arc::clone(&config))));
         }
-        backends.sort_by(|a, b| a.key.cmp(&b.key));
-        if backends.windows(2).any(|w| w[0].key == w[1].key) {
-            return Err(ServeError::BadConfig("duplicate backend region keys".into()));
-        }
-        Ok(Self { backends, config })
+        let fleet = Fleet::assemble(backends)?;
+        let pool = TaskPool::new(fleet.len());
+        Ok(Self { fleet, pool, config })
     }
 
     /// Region keys in routing order (sorted).
     pub fn keys(&self) -> Vec<String> {
-        self.backends.iter().map(|b| b.key.clone()).collect()
+        self.fleet.keys().map(String::from).collect()
     }
 
     /// The current health state of the backend serving `key`, if any —
     /// exposed for tests and operational tooling.
     pub fn state_of(&self, key: &str) -> Option<BackendState> {
-        self.index_of(key).map(|i| self.backends[i].state())
-    }
-
-    fn index_of(&self, key: &str) -> Option<usize> {
-        self.backends
-            .binary_search_by(|b| b.key.as_str().cmp(key))
-            .ok()
-    }
-
-    /// Number of federated backends.
-    pub(crate) fn backend_count(&self) -> usize {
-        self.backends.len()
-    }
-
-    /// The fleet's state generation — the front-end cache's epoch: a
-    /// monotonic sum of every backend's change counter (health
-    /// transitions + observed snapshot-epoch changes). Any event that
-    /// could alter a merged fleet-scope body moves it; staleness is
-    /// bounded by the probe interval, since probes carry the backends'
-    /// epochs even when no request traffic does.
-    pub(crate) fn generation(&self) -> u64 {
-        self.backends
-            .iter()
-            .map(|b| b.changes.load(Ordering::SeqCst))
-            .sum()
+        self.fleet.get(key).map(Remote::state)
     }
 
     /// `Retry-After` seconds advertised on federated 503s: the next probe
@@ -531,8 +522,34 @@ impl Federation {
         (self.config.probe_secs.ceil() as u64).max(1)
     }
 
-    // ---- wire client -----------------------------------------------------
+    /// One probe round: `GET /healthz` on every backend. Any well-formed
+    /// response (whatever the status) proves the wire and heals `Down`.
+    /// Probes deliberately use one-shot `Connection: close` requests and
+    /// never touch the connection pool: a pooled probe connection kept
+    /// warm every `probe_secs` would pin one backend worker thread
+    /// *forever*, quietly halving a small backend's capacity.
+    fn probe_all(&self, metrics: &Metrics) {
+        let timeout = Duration::from_secs_f64(self.config.request_timeout_secs);
+        for backend in self.fleet.members() {
+            let ok = match probe_once(backend, "/healthz", timeout) {
+                Ok(reply) => {
+                    backend.mark_success();
+                    if let Some(epoch) = reply.epoch {
+                        backend.note_epoch(epoch);
+                    }
+                    true
+                }
+                Err(e) => {
+                    backend.mark_failure(&e, self.config.fail_threshold);
+                    false
+                }
+            };
+            metrics.fed_probe(ok);
+        }
+    }
+}
 
+impl Remote {
     /// One request against one backend with health gating, hedging,
     /// retries, and backoff. The only public-facing failure is a typed
     /// [`FederationError`]. Callers must only route *read-only* requests
@@ -540,17 +557,16 @@ impl Federation {
     /// hedges re-send the request verbatim, which is only safe when
     /// re-execution is free of side effects.
     fn fetch(
-        &self,
-        backend: &Arc<Backend>,
+        self: &Arc<Self>,
         method: &'static str,
         path_query: &str,
         body: &str,
         metrics: &Metrics,
     ) -> Result<BackendReply, FederationError> {
-        if backend.state() == BackendState::Down {
+        if self.state() == BackendState::Down {
             return Err(FederationError::BackendDown {
-                backend: backend.key.clone(),
-                detail: backend.last_error(),
+                backend: self.key.clone(),
+                detail: self.last_error(),
             });
         }
         let mut backoff_ms = self.config.backoff_base_ms;
@@ -564,23 +580,23 @@ impl Federation {
                 backoff_ms = (backoff_ms.saturating_mul(2)).min(self.config.backoff_cap_ms);
             }
             let started = Instant::now();
-            match self.hedged_attempt(backend, method, path_query, body, metrics) {
+            match self.hedged_attempt(method, path_query, body, metrics) {
                 Ok(reply) => {
-                    backend.mark_success();
+                    self.mark_success();
                     if let Some(epoch) = reply.epoch {
-                        backend.note_epoch(epoch);
+                        self.note_epoch(epoch);
                     }
-                    backend.record_latency(started.elapsed());
+                    self.record_latency(started.elapsed());
                     return Ok(reply);
                 }
                 Err(e) => {
-                    backend.mark_failure(&e, self.config.fail_threshold);
+                    self.mark_failure(&e, self.config.fail_threshold);
                     last = Some(e);
                 }
             }
         }
         Err(last.unwrap_or_else(|| FederationError::BackendDown {
-            backend: backend.key.clone(),
+            backend: self.key.clone(),
             detail: "no attempts made".into(),
         }))
     }
@@ -590,8 +606,7 @@ impl Federation {
     /// on a second connection. First well-formed answer wins; losers are
     /// detached (their connections still return to the pool on success).
     fn hedged_attempt(
-        &self,
-        backend: &Arc<Backend>,
+        self: &Arc<Self>,
         method: &'static str,
         path_query: &str,
         body: &str,
@@ -601,7 +616,7 @@ impl Federation {
         let deadline = Instant::now() + timeout;
         let (tx, rx) = mpsc::channel::<(u8, Result<BackendReply, FederationError>)>();
         spawn_attempt(
-            Arc::clone(backend),
+            Arc::clone(self),
             method,
             path_query.to_string(),
             body.to_string(),
@@ -613,7 +628,7 @@ impl Federation {
         let hedge_delay = match self.config.hedge_ms {
             Some(0) => None,
             Some(ms) => Some(Duration::from_millis(ms)),
-            None => backend
+            None => self
                 .latencies
                 .lock()
                 .unwrap_or_else(|p| p.into_inner())
@@ -631,7 +646,7 @@ impl Federation {
                     metrics.fed_hedge();
                     hedged = true;
                     spawn_attempt(
-                        Arc::clone(backend),
+                        Arc::clone(self),
                         method,
                         path_query.to_string(),
                         body.to_string(),
@@ -665,7 +680,7 @@ impl Federation {
                         Ok(got) => got,
                         Err(_) => {
                             return Err(primary_error.or(hedge_error).unwrap_or(
-                                FederationError::Timeout { backend: backend.key.clone() },
+                                FederationError::Timeout { backend: self.key.clone() },
                             ))
                         }
                     }
@@ -691,39 +706,11 @@ impl Federation {
                         return Err(primary_error
                             .or(hedge_error)
                             .unwrap_or(FederationError::Timeout {
-                                backend: backend.key.clone(),
+                                backend: self.key.clone(),
                             }));
                     }
                 }
             }
-        }
-    }
-
-    // ---- probing ---------------------------------------------------------
-
-    /// One probe round: `GET /healthz` on every backend. Any well-formed
-    /// response (whatever the status) proves the wire and heals `Down`.
-    /// Probes deliberately use one-shot `Connection: close` requests and
-    /// never touch the connection pool: a pooled probe connection kept
-    /// warm every `probe_secs` would pin one backend worker thread
-    /// *forever*, quietly halving a small backend's capacity.
-    fn probe_all(&self, metrics: &Metrics) {
-        let timeout = Duration::from_secs_f64(self.config.request_timeout_secs);
-        for backend in &self.backends {
-            let ok = match probe_once(backend, "/healthz", timeout) {
-                Ok(reply) => {
-                    backend.mark_success();
-                    if let Some(epoch) = reply.epoch {
-                        backend.note_epoch(epoch);
-                    }
-                    true
-                }
-                Err(e) => {
-                    backend.mark_failure(&e, self.config.fail_threshold);
-                    false
-                }
-            };
-            metrics.fed_probe(ok);
         }
     }
 }
@@ -732,7 +719,7 @@ impl Federation {
 /// a loser finishing later is harmless (its `send` fails silently and its
 /// connection still returns to the pool).
 fn spawn_attempt(
-    backend: Arc<Backend>,
+    backend: Arc<Remote>,
     method: &'static str,
     path_query: String,
     body: String,
@@ -751,7 +738,7 @@ fn spawn_attempt(
 /// before yielding a single response byte was stale (closed by the backend
 /// between requests) and is retried once on a fresh dial, uncounted.
 fn attempt_once(
-    backend: &Backend,
+    backend: &Remote,
     method: &'static str,
     path_query: &str,
     body: &str,
@@ -773,7 +760,7 @@ fn attempt_once(
 /// (`Connection: close`, never pooled) — see [`Federation::probe_all`] for
 /// why probes must not hold a backend connection open.
 fn probe_once(
-    backend: &Backend,
+    backend: &Remote,
     path_query: &str,
     timeout: Duration,
 ) -> Result<BackendReply, FederationError> {
@@ -783,7 +770,7 @@ fn probe_once(
 }
 
 /// Fresh TCP dial under the remaining deadline budget.
-fn dial(backend: &Backend, deadline: Instant) -> Result<TcpStream, FederationError> {
+fn dial(backend: &Remote, deadline: Instant) -> Result<TcpStream, FederationError> {
     let left = deadline.saturating_duration_since(Instant::now());
     if left.is_zero() {
         return Err(FederationError::Timeout { backend: backend.key.clone() });
@@ -817,7 +804,7 @@ fn dial(backend: &Backend, deadline: Instant) -> Result<TcpStream, FederationErr
 /// arrived — the caller uses it to tell a stale pooled connection (retry
 /// fresh) from a mid-response failure (surface it).
 fn exchange(
-    backend: &Backend,
+    backend: &Remote,
     mut conn: TcpStream,
     method: &str,
     path_query: &str,
@@ -1020,279 +1007,71 @@ fn parse_top_columns(body: &str) -> Result<(Vec<u32>, Vec<f64>), String> {
     Ok((ids, scores))
 }
 
-// ---- the front-end router ----------------------------------------------
+impl Backend for Remote {
+    const REMOTE: bool = true;
 
-/// The federation front-end's request handler: relays region-tagged
-/// queries, scatter-gathers the global top-K, and answers inventory and
-/// metrics locally.
-struct FederationRouter {
-    fed: Arc<Federation>,
+    fn generation(&self) -> u64 {
+        self.changes.load(Ordering::SeqCst)
+    }
+
+    fn exact_epoch(&self) -> Option<u64> {
+        None
+    }
+
+    /// Relay the request to this backend, passing its status and body
+    /// through untouched (byte-identity with a direct request).
+    fn region(
+        self: &Arc<Self>,
+        _: Ask,
+        req: &ParsedRequest,
+        metrics: &Metrics,
+    ) -> Result<Response, Response> {
+        let path_query = format!("{}?{}", req.path, req.query);
+        match self.fetch("GET", &path_query, "", metrics) {
+            Ok(reply) => Ok(Response::json(reply.status, reply.body)),
+            Err(e) => Err(e.response()),
+        }
+    }
+
+    fn top(self: &Arc<Self>, k: usize, metrics: &Metrics) -> Option<TopTable> {
+        let reply = self.fetch("GET", &format!("/top?k={k}"), "", metrics).ok()?;
+        if reply.status != 200 {
+            return None;
+        }
+        let (ids, scores) = parse_top_columns(&reply.body).ok()?;
+        Some(TopTable::Wire(ids, scores))
+    }
+
+    fn partial(
+        self: &Arc<Self>,
+        spec: &AggregateSpec,
+        body: &str,
+        metrics: &Metrics,
+    ) -> Result<AggregatePartial, Miss> {
+        let reply = self
+            .fetch("POST", "/aggregate?partial=1", body, metrics)
+            .map_err(|_| Miss::Dark)?;
+        match reply.status {
+            200 => aggregate::parse_partial(spec, &reply.body).map_err(|_| Miss::Dark),
+            // The spec already parsed here, so a backend 400 naming missing
+            // attributes is the client's error on this topology too.
+            400 if reply.body.contains(&json_str(&AggregateError::NoAttributes.to_string())) => {
+                Err(Miss::NoAttributes)
+            }
+            _ => Err(Miss::Dark),
+        }
+    }
 }
 
-impl FederationRouter {
-    fn error_response(&self, e: &FederationError) -> Response {
-        let status = e.status();
-        let body = match e {
-            FederationError::UnknownRegion { region } => {
-                let keys = self.fed.keys();
-                unknown_region_body_keys(keys.iter().map(String::as_str), region)
-            }
-            FederationError::BackendDown { backend, .. } => format!(
-                "{{\"error\":{},\"region\":{}}}",
-                http::json_str(&e.to_string()),
-                http::json_str(backend)
-            ),
-            _ => format!("{{\"error\":{}}}", http::json_str(&e.to_string())),
-        };
-        let response = Response::json(status, body);
-        if status == 503 {
-            response.with_header("Retry-After", self.fed.retry_after_secs().to_string())
-        } else {
-            response
-        }
+impl Topology for Federation {
+    type Member = Remote;
+
+    fn fleet(&self) -> &Fleet<Remote> {
+        &self.fleet
     }
 
-    /// Relay one region-tagged GET to its backend, passing the backend's
-    /// status and body through untouched (byte-identity with a direct
-    /// request); a relayed 503 gains the federation's `Retry-After`.
-    fn relay(&self, req: &ParsedRequest, metrics: &Metrics) -> Response {
-        let Some(raw_key) = query_param(&req.query, "region") else {
-            return self.regionless_refusal(req);
-        };
-        let key = region_key(raw_key);
-        let Some(idx) = self.fed.index_of(&key) else {
-            return self.error_response(&FederationError::UnknownRegion {
-                region: raw_key.to_string(),
-            });
-        };
-        let backend = &self.fed.backends[idx];
-        let path_query = format!("{}?{}", req.path, req.query);
-        match self.fed.fetch(backend, "GET", &path_query, "", metrics) {
-            Ok(reply) => {
-                metrics.shard_request(idx);
-                let response = Response::json(reply.status, reply.body);
-                if reply.status == 503 {
-                    response.with_header("Retry-After", self.fed.retry_after_secs().to_string())
-                } else {
-                    response
-                }
-            }
-            Err(e) => {
-                metrics.shard_unavailable(idx);
-                self.error_response(&e)
-            }
-        }
-    }
-
-    /// A region-less request that cannot be federated (`/pipe` without a
-    /// region): the same typed 400 the in-process sharded server answers.
-    fn regionless_refusal(&self, _req: &ParsedRequest) -> Response {
-        let keys = self.fed.keys();
-        let regions: Vec<String> = keys.iter().map(|k| http::json_str(k)).collect();
-        Response::json(
-            400,
-            format!(
-                "{{\"error\":\"pipe ids are per-region; pass ?region=<key>\",\"regions\":[{}]}}",
-                regions.join(",")
-            ),
-        )
-    }
-
-    /// Region-less `/top`: scatter to every backend, merge with the
-    /// bounded k-way merge, render with the shared serializer. Backends
-    /// that are down or fail contribute nothing; the response carries
-    /// `X-Pipefail-Partial` naming them and the body covers the live
-    /// fleet only (byte-identical to an in-process sharded server over
-    /// exactly those regions).
-    fn global_top(&self, req: &ParsedRequest, metrics: &Metrics) -> Response {
-        let k = match crate::query::top_k(&req.query) {
-            Ok(k) => k,
-            Err(e) => return e.response(),
-        };
-        let fed = &self.fed;
-        type Columns = (Vec<u32>, Vec<f64>);
-        let results: Vec<Result<Columns, FederationError>> = std::thread::scope(|s| {
-            let handles: Vec<_> = fed
-                .backends
-                .iter()
-                .map(|backend| {
-                    s.spawn(move || {
-                        let reply = fed.fetch(backend, "GET", &format!("/top?k={k}"), "", metrics)?;
-                        if reply.status != 200 {
-                            return Err(FederationError::BadResponse {
-                                backend: backend.key.clone(),
-                                detail: format!("status {} from /top", reply.status),
-                            });
-                        }
-                        parse_top_columns(&reply.body).map_err(|e| {
-                            FederationError::BadResponse {
-                                backend: backend.key.clone(),
-                                detail: format!("unparseable /top body: {e}"),
-                            }
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(i, h)| {
-                    h.join().unwrap_or_else(|_| {
-                        Err(FederationError::Io {
-                            backend: fed.backends[i].key.clone(),
-                            detail: "scatter worker panicked".into(),
-                        })
-                    })
-                })
-                .collect()
-        });
-
-        let mut keys_escaped = Vec::new();
-        let mut tables: Vec<Columns> = Vec::new();
-        let mut missing: Vec<String> = Vec::new();
-        for (idx, result) in results.into_iter().enumerate() {
-            let backend = &fed.backends[idx];
-            match result {
-                Ok(entries) => {
-                    keys_escaped.push(http::json_str(&backend.key));
-                    tables.push(entries);
-                    metrics.shard_request(idx);
-                }
-                Err(_) => {
-                    missing.push(backend.key.clone());
-                    metrics.shard_unavailable(idx);
-                }
-            }
-        }
-        if tables.is_empty() {
-            let keys: Vec<String> = missing.iter().map(|k| http::json_str(k)).collect();
-            return Response::json(
-                503,
-                format!(
-                    "{{\"error\":\"global top-k unavailable: all backends degraded\",\"shards\":[{}]}}",
-                    keys.join(",")
-                ),
-            )
-            .with_header("Retry-After", fed.retry_after_secs().to_string());
-        }
-        metrics.global_topk();
-        let table_refs: Vec<RiskSlice<'_>> = tables
-            .iter()
-            .map(|(ids, scores)| RiskSlice::from_columns(ids, scores))
-            .collect();
-        let merged: Vec<GlobalRisk> = merge_top_k(&table_refs, k);
-        let body = render_global_top_k_keys(&keys_escaped, &merged, k);
-        let response = Response::json(200, body);
-        if missing.is_empty() {
-            response
-        } else {
-            response.with_header("X-Pipefail-Partial", missing.join(","))
-        }
-    }
-
-    /// Federated `POST /aggregate`: validate the pipeline spec locally
-    /// (a malformed spec 400s without touching the wire), then forward the
-    /// client body *verbatim* to every backend's `/aggregate?partial=1`
-    /// and merge the returned partial states fold-left in sorted-key
-    /// order — the exact computation [`aggregate::merge_partials`] runs
-    /// over in-process shard partials, so a healthy fleet answers
-    /// byte-identically to a monolithic or sharded server over the same
-    /// snapshots. Degraded backends (down, failing, or answering anything
-    /// but a parseable 200 partial — including a backend 400 for snapshots
-    /// without attributes, an asymmetry with the in-process server where
-    /// missing attributes are a client-visible 400) contribute nothing:
-    /// the body covers the live fleet and `X-Pipefail-Partial` names the
-    /// missing regions. A fully dark fleet is a 503 with `Retry-After`.
-    fn aggregate(&self, req: &ParsedRequest, metrics: &Metrics) -> Response {
-        let spec = match AggregateSpec::parse(&req.body) {
-            Ok(spec) => spec,
-            Err(e) => {
-                return Response::json(
-                    400,
-                    format!("{{\"error\":{}}}", http::json_str(&e.to_string())),
-                );
-            }
-        };
-        let fed = &self.fed;
-        let results: Vec<Result<aggregate::AggregatePartial, FederationError>> =
-            std::thread::scope(|s| {
-                let spec = &spec;
-                let body = req.body.as_str();
-                let handles: Vec<_> = fed
-                    .backends
-                    .iter()
-                    .map(|backend| {
-                        s.spawn(move || {
-                            let reply = fed.fetch(
-                                backend,
-                                "POST",
-                                "/aggregate?partial=1",
-                                body,
-                                metrics,
-                            )?;
-                            if reply.status != 200 {
-                                return Err(FederationError::BadResponse {
-                                    backend: backend.key.clone(),
-                                    detail: format!("status {} from /aggregate", reply.status),
-                                });
-                            }
-                            aggregate::parse_partial(spec, &reply.body).map_err(|e| {
-                                FederationError::BadResponse {
-                                    backend: backend.key.clone(),
-                                    detail: format!("unparseable aggregate partial: {e}"),
-                                }
-                            })
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, h)| {
-                        h.join().unwrap_or_else(|_| {
-                            Err(FederationError::Io {
-                                backend: fed.backends[i].key.clone(),
-                                detail: "scatter worker panicked".into(),
-                            })
-                        })
-                    })
-                    .collect()
-            });
-
-        // Backends are pre-sorted by key, so collecting the live partials
-        // in fleet order IS sorted-key order — the canonical merge order.
-        let mut partials: Vec<aggregate::AggregatePartial> = Vec::new();
-        let mut missing: Vec<String> = Vec::new();
-        for (idx, result) in results.into_iter().enumerate() {
-            match result {
-                Ok(partial) => {
-                    partials.push(partial);
-                    metrics.shard_request(idx);
-                }
-                Err(_) => {
-                    missing.push(fed.backends[idx].key.clone());
-                    metrics.shard_unavailable(idx);
-                }
-            }
-        }
-        if partials.is_empty() {
-            let keys: Vec<String> = missing.iter().map(|k| http::json_str(k)).collect();
-            return Response::json(
-                503,
-                format!(
-                    "{{\"error\":\"aggregate unavailable: all backends degraded\",\"shards\":[{}]}}",
-                    keys.join(",")
-                ),
-            )
-            .with_header("Retry-After", fed.retry_after_secs().to_string());
-        }
-        let (groups, budget) = aggregate::merge_partials(&spec, &partials);
-        let response = Response::json(200, aggregate::render_aggregate(&spec, groups, budget));
-        if missing.is_empty() {
-            response
-        } else {
-            response.with_header("X-Pipefail-Partial", missing.join(","))
-        }
+    fn pool(&self) -> &TaskPool {
+        &self.pool
     }
 
     /// The front-end's own readiness: 200 while no backend is `Down`, a
@@ -1301,16 +1080,16 @@ impl FederationRouter {
     fn healthz(&self) -> Response {
         let mut any_down = false;
         let entries: Vec<String> = self
-            .fed
-            .backends
-            .iter()
-            .map(|b| {
+            .fleet
+            .keys()
+            .zip(self.fleet.members())
+            .map(|(key, b)| {
                 let state = b.state();
                 any_down |= state == BackendState::Down;
                 format!(
                     "{{\"region\":{},\"state\":{}}}",
-                    http::json_str(&b.key),
-                    http::json_str(state.label())
+                    json_str(key),
+                    json_str(state.label())
                 )
             })
             .collect();
@@ -1319,27 +1098,22 @@ impl FederationRouter {
             "{{\"status\":\"{status_word}\",\"backends\":[{}]}}",
             entries.join(",")
         );
-        if any_down {
-            Response::json(503, body)
-                .with_header("Retry-After", self.fed.retry_after_secs().to_string())
-        } else {
-            Response::json(200, body)
-        }
+        Response::json(if any_down { 503 } else { 200 }, body)
     }
 
     /// The federated `/model`: the backend inventory with health states —
     /// answered locally (no fan-out) so it works while backends are down.
     fn model(&self) -> Response {
         let entries: Vec<String> = self
-            .fed
-            .backends
-            .iter()
-            .map(|b| {
+            .fleet
+            .keys()
+            .zip(self.fleet.members())
+            .map(|(key, b)| {
                 format!(
                     "{{\"region\":{},\"addr\":{},\"state\":{}}}",
-                    http::json_str(&b.key),
-                    http::json_str(&b.addr.to_string()),
-                    http::json_str(b.state().label())
+                    json_str(key),
+                    json_str(&b.addr.to_string()),
+                    json_str(b.state().label())
                 )
             })
             .collect();
@@ -1347,84 +1121,36 @@ impl FederationRouter {
             200,
             format!(
                 "{{\"federation\":{},\"backends\":[{}]}}",
-                self.fed.backends.len(),
+                self.fleet.len(),
                 entries.join(",")
             ),
         )
     }
-}
 
-impl RequestHandler for FederationRouter {
-    fn handle(&self, req: &ParsedRequest, metrics: &Metrics) -> (Route, Response) {
-        match (req.method.as_str(), req.path.as_str()) {
-            ("GET", "/health") => (Route::Health, Response::json(200, "{\"status\":\"ok\"}")),
-            ("GET", "/healthz") => (Route::Healthz, self.healthz()),
-            ("GET", "/top") => {
-                let response = if query_param(&req.query, "region").is_some() {
-                    self.relay(req, metrics)
-                } else {
-                    self.global_top(req, metrics)
-                };
-                (Route::Top, response)
-            }
-            ("GET", "/pipe") => (Route::Pipe, self.relay(req, metrics)),
-            ("GET", "/model") => (Route::Model, self.model()),
-            ("GET", "/metrics") => (
-                Route::Metrics,
-                Response::text(200, "text/plain; version=0.0.4", metrics.render()),
-            ),
-            ("POST", "/batch") => (
-                Route::Batch,
-                Response::json(
-                    501,
-                    "{\"error\":\"batch is not federated; send it to a backend\"}",
-                ),
-            ),
-            ("POST", "/aggregate") => (Route::Aggregate, self.aggregate(req, metrics)),
-            ("GET", "/riskmap.svg") => (
-                Route::Riskmap,
-                Response::json(404, "{\"error\":\"risk maps are not federated\"}"),
-            ),
-            (m, "/health" | "/healthz" | "/top" | "/pipe" | "/model" | "/metrics" | "/riskmap.svg")
-                if m != "GET" =>
-            {
-                (Route::Other, Response::json(405, "{\"error\":\"method not allowed\"}"))
-            }
-            (m, "/batch" | "/aggregate") if m != "POST" => {
-                (Route::Other, Response::json(405, "{\"error\":\"method not allowed\"}"))
-            }
-            _ => (Route::Other, Response::json(404, "{\"error\":\"no such route\"}")),
-        }
+    /// A batch is not federated: retries would re-POST it blindly.
+    fn batch(&self, _: &ParsedRequest, _: &Metrics) -> Response {
+        Response::json(501, "{\"error\":\"batch is not federated; send it to a backend\"}")
+    }
+
+    fn riskmap(&self) -> Response {
+        Response::json(404, "{\"error\":\"risk maps are not federated\"}")
     }
 }
 
-/// Start the federation front-end: the shared connection layer of
-/// [`crate::http::serve`] around the federation request router, plus the
-/// health prober as a background thread. Returns immediately with the
-/// handle.
+/// Start the federation front-end: the shared connection layer and route
+/// table of [`crate::http::serve`] over the remote fleet, plus the health
+/// prober as a background thread. Returns immediately with the handle.
 pub fn serve_federated(
     fed: Arc<Federation>,
     config: &ServerConfig,
 ) -> Result<ServerHandle, ServeError> {
-    let metrics = Arc::new(Metrics::with_backends(fed.keys()));
-    let router: Arc<dyn RequestHandler> =
-        Arc::new(FederationRouter { fed: Arc::clone(&fed) });
-    // The front-end result cache keys its merged fleet-scope bodies on
-    // `Federation::generation()`; region relays pass through so the
-    // backends' own caches serve them with exact epochs.
-    let handler = Arc::new(crate::cache::CachingHandler::new(
-        router,
-        crate::cache::CacheTopology::Federated(Arc::clone(&fed)),
-        config,
-    ));
-    let prober_metrics = Arc::clone(&metrics);
     let probe_interval = Duration::from_secs_f64(fed.config.probe_secs);
-    serve_handler(handler, metrics, config, move |shutdown| {
-        let shutdown = Arc::clone(shutdown);
+    let retry_after = fed.retry_after_secs();
+    serve_topology(Arc::clone(&fed), retry_after, config, move |shutdown, metrics| {
+        let (shutdown, metrics) = (Arc::clone(shutdown), Arc::clone(metrics));
         vec![std::thread::spawn(move || {
-            use std::sync::atomic::Ordering;
             while !shutdown.load(Ordering::SeqCst) {
-                fed.probe_all(&prober_metrics);
+                fed.probe_all(&metrics);
                 sleep_interruptible(probe_interval, &shutdown);
             }
         })]
@@ -1437,7 +1163,8 @@ mod tests {
 
     #[test]
     fn parse_top_columns_round_trips_the_rendered_body() {
-        use crate::scorer::Scorer;
+        use crate::http;
+        use crate::scorer::{RiskSlice, Scorer};
         use pipefail_core::model::{RiskRanking, RiskScore};
         use pipefail_core::snapshot::Snapshot;
         use pipefail_network::ids::PipeId;
@@ -1558,7 +1285,11 @@ mod tests {
 
     #[test]
     fn health_transitions_suspect_then_down_then_probe_heals() {
-        let backend = Backend::new("region_a".into(), "127.0.0.1:1".parse().unwrap());
+        let backend = Remote::new(
+            "region_a".into(),
+            "127.0.0.1:1".parse().unwrap(),
+            Arc::new(FedConfig::default()),
+        );
         assert_eq!(backend.state(), BackendState::Healthy);
         let err = FederationError::Timeout { backend: "region_a".into() };
         backend.mark_failure(&err, 3);

@@ -24,16 +24,20 @@
 //! |---|---|
 //! | `GET /health` | liveness probe |
 //! | `GET /healthz` | readiness probe: `200` when every shard serves, `503` + `Retry-After` while any shard is degraded; excluded from the request metrics so federation health checks don't pollute them |
-//! | `GET /top?k=N` | the N riskiest pipes, descending (default 10); sharded servers scatter-gather a **global** top-K across every region |
+//! | `GET /top?k=N` | the N riskiest pipes, descending (default 10); sharded servers scatter-gather a **global** top-K across every region (partial behind `X-Pipefail-Partial` while a region is dark, typed 503 once all are) |
 //! | `GET /top?region=R&k=N` | one region's top-K (routed to that shard; unknown region → typed 404, degraded shard → typed 503) |
 //! | `GET /pipe?region=R&id=N` | one pipe's score and rank (`region` required when serving more than one shard) |
 //! | `GET /model` | snapshot identity + posterior-summary inventory (sharded: the full shard inventory) |
 //! | `POST /batch` | one query per line (`[region=R ]top K` / `region=R pipe ID`), fanned over the task pool |
-//! | `POST /aggregate` | declarative group-by/aggregate pipeline (body = JSON spec, see `docs/AGGREGATE.md`) computed per-shard on the task pool and merged deterministically; `?partial=1` answers the merge-ready partial state (the federation scatter leg) |
+//! | `POST /aggregate` | declarative group-by/aggregate pipeline (body = JSON spec, see `docs/AGGREGATE.md`) computed per-shard on the task pool and merged deterministically (same degrade policy as the global top-K); `?partial=1` answers the merge-ready partial state (the federation scatter leg) |
 //! | `GET /riskmap.svg` | Fig 18.9 risk map (single-snapshot mode with a dataset only) |
 //! | `GET /metrics` | Prometheus text exposition (sharded: per-shard `shard="R"` series) |
+//!
+//! The federation front end (`crate::federation`) serves the same route
+//! table through the same [`crate::fleet`] engine; only `/healthz`,
+//! `/model`, `/batch`, and `/riskmap.svg` differ per topology.
 
-use crate::aggregate::{self, AggregateSpec};
+use crate::fleet::{Ask, Backend, Fleet};
 use crate::metrics::{Metrics, Route};
 use crate::parser::ParsedRequest;
 use crate::reload;
@@ -323,30 +327,35 @@ impl Drop for ServerHandle {
 }
 
 /// What a worker pool serves: anything that turns a parsed request into a
-/// routed response. The local snapshot router ([`LocalRouter`]) and the
-/// federation front-end (`crate::federation`) both plug in here, sharing
-/// the whole connection layer — keep-alive loop, pipelining, timeouts,
-/// framing — unchanged.
+/// routed response — [`route_request`] behind the result cache
+/// (`crate::cache`), sharing the whole connection layer — keep-alive loop,
+/// pipelining, timeouts, framing — on every topology.
 pub(crate) trait RequestHandler: Send + Sync + 'static {
     /// Answer one request. `Route::Healthz` responses are counted in
     /// [`Metrics::healthz_total`] instead of the request metrics.
     fn handle(&self, req: &ParsedRequest, metrics: &Metrics) -> (Route, Response);
 }
 
-/// The in-process router: answers every route from the local
-/// [`ServeContext`] shards.
-pub(crate) struct LocalRouter {
-    ctx: Arc<ServeContext>,
-    /// Seconds advertised in `Retry-After` on degrade `503`s — derived
-    /// from the reload poll interval, since that is when a degraded shard
-    /// can next heal.
-    retry_after_secs: u64,
-}
-
-impl RequestHandler for LocalRouter {
-    fn handle(&self, req: &ParsedRequest, metrics: &Metrics) -> (Route, Response) {
-        route_request(req, &self.ctx, metrics, self.retry_after_secs)
-    }
+/// A serving topology: a [`Fleet`] plus the few routes whose answers
+/// depend on what the members are. In-process serving
+/// ([`ServeContext`]) and the federation front end implement it; the
+/// route table, region routing, global merge, `/aggregate`, and degrade
+/// policy are shared.
+pub(crate) trait Topology: Send + Sync + 'static {
+    /// The fleet member type: an in-process shard or a remote backend.
+    type Member: Backend;
+    /// The served fleet.
+    fn fleet(&self) -> &Fleet<Self::Member>;
+    /// The pool fleet-scope scatters fan out on.
+    fn pool(&self) -> &TaskPool;
+    /// `GET /healthz`.
+    fn healthz(&self) -> Response;
+    /// `GET /model`.
+    fn model(&self) -> Response;
+    /// `POST /batch`.
+    fn batch(&self, req: &ParsedRequest, metrics: &Metrics) -> Response;
+    /// `GET /riskmap.svg`.
+    fn riskmap(&self) -> Response;
 }
 
 /// `Retry-After` seconds for degrade responses: the next reload poll is
@@ -370,28 +379,14 @@ pub fn serve(ctx: Arc<ServeContext>, config: &ServerConfig) -> Result<ServerHand
             "reload_poll_secs set but no snapshot_path to watch".into(),
         ));
     }
-    let metrics = Arc::new(Metrics::with_shards(
-        ctx.shards().keys().map(String::from).collect(),
-    ));
-    let router: Arc<dyn RequestHandler> = Arc::new(LocalRouter {
-        ctx: Arc::clone(&ctx),
-        retry_after_secs: retry_after_secs(config.reload_poll_secs),
-    });
-    // The result cache fronts the router; it is always installed so ETag/304/HEAD behaviour never depends on the
-    // PIPEFAIL_CACHE knob.
-    let handler = Arc::new(crate::cache::CachingHandler::new(
-        router,
-        crate::cache::CacheTopology::Local(Arc::clone(&ctx)),
-        config,
-    ));
-    let watcher_metrics = Arc::clone(&metrics);
     let poll = config.reload_poll_secs;
     let snapshot_path = config.snapshot_path.clone();
-    serve_handler(handler, metrics, config, move |shutdown| {
+    let retry_after = retry_after_secs(poll);
+    serve_topology(Arc::clone(&ctx), retry_after, config, move |shutdown, metrics| {
         if poll > 0.0 {
             vec![reload::spawn_watcher(
                 ctx,
-                watcher_metrics,
+                Arc::clone(metrics),
                 snapshot_path,
                 Duration::from_secs_f64(poll),
                 Arc::clone(shutdown),
@@ -402,16 +397,16 @@ pub fn serve(ctx: Arc<ServeContext>, config: &ServerConfig) -> Result<ServerHand
     })
 }
 
-/// The handler-generic server core: bind, spawn the epoll event loop and
-/// its worker pool around `handler`, start any `background` threads
-/// (reload watcher, health prober) wired to the shutdown switch, and
-/// return immediately. Serving needs epoll, so every other platform gets
-/// [`ServeError::UnsupportedPlatform`].
-pub(crate) fn serve_handler(
-    handler: Arc<dyn RequestHandler>,
-    metrics: Arc<Metrics>,
+/// The topology-generic server core: bind, spawn the epoll event loop and
+/// its worker pool around the cached [`route_request`], start any `background`
+/// threads (reload watcher, health prober) wired to the shutdown switch
+/// and the metrics, and return immediately. Serving needs epoll, so every
+/// other platform gets [`ServeError::UnsupportedPlatform`].
+pub(crate) fn serve_topology<T: Topology>(
+    topo: Arc<T>,
+    retry_after_secs: u64,
     config: &ServerConfig,
-    background: impl FnOnce(&Arc<AtomicBool>) -> Vec<JoinHandle<()>>,
+    background: impl FnOnce(&Arc<AtomicBool>, &Arc<Metrics>) -> Vec<JoinHandle<()>>,
 ) -> Result<ServerHandle, ServeError> {
     if config.request_timeout_secs <= 0.0 {
         return Err(ServeError::BadConfig(
@@ -423,6 +418,11 @@ pub(crate) fn serve_handler(
             "idle_timeout_secs must be positive".into(),
         ));
     }
+    let metrics = Arc::new(Metrics::for_fleet(topo.fleet()));
+    // The result cache fronts the router; it is always installed so
+    // ETag/304/HEAD behaviour never depends on the PIPEFAIL_CACHE knob.
+    let handler: Arc<dyn RequestHandler> =
+        Arc::new(crate::cache::CachingHandler::new(topo, retry_after_secs, config));
     #[cfg(not(target_os = "linux"))]
     {
         let _ = (handler, metrics, background);
@@ -437,7 +437,7 @@ pub(crate) fn serve_handler(
             .map_err(|e| ServeError::Io(format!("bind {}: {e}", config.addr)))?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let background = background(&shutdown);
+        let background = background(&shutdown, &metrics);
         let (loop_thread, workers) = crate::event_loop::spawn(
             handler,
             Arc::clone(&metrics),
@@ -668,25 +668,44 @@ impl Response {
     }
 }
 
-fn route_request(
+/// The route table, shared by every topology: parse, dispatch to the
+/// fleet engine or the topology's own routes, and stamp `Retry-After` on
+/// every `503` (one place, so no degrade path — region-routed, global
+/// merge, aggregate, batch, healthz — can forget it). `retry_after_secs`
+/// is when a dark member can next heal: the reload poll in process, the
+/// health-probe interval in a federation.
+pub(crate) fn route_request<T: Topology>(
     req: &ParsedRequest,
-    ctx: &ServeContext,
+    topo: &T,
     metrics: &Metrics,
     retry_after_secs: u64,
 ) -> (Route, Response) {
+    let fleet = topo.fleet();
     let (route, mut response) = match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/health") => (Route::Health, Response::json(200, "{\"status\":\"ok\"}")),
-        ("GET", "/healthz") => (Route::Healthz, healthz_response(ctx)),
-        ("GET", "/top") => (Route::Top, top_response(req, ctx, metrics)),
-        ("GET", "/pipe") => (Route::Pipe, pipe_response(req, ctx, metrics)),
-        ("GET", "/model") => (Route::Model, model_response(ctx)),
-        ("POST", "/batch") => (Route::Batch, batch_response(req, ctx, metrics)),
-        ("POST", "/aggregate") => (Route::Aggregate, aggregate_response(req, ctx, metrics)),
+        ("GET", "/healthz") => (Route::Healthz, topo.healthz()),
+        ("GET", "/top") => (
+            Route::Top,
+            match crate::query::top_k(&req.query) {
+                Ok(k) => fleet.route(Ask::Top(k), req, topo.pool(), metrics),
+                Err(e) => e.response(),
+            },
+        ),
+        ("GET", "/pipe") => (
+            Route::Pipe,
+            match crate::query::pipe_id(&req.query) {
+                Ok(id) => fleet.route(Ask::Pipe(id), req, topo.pool(), metrics),
+                Err(e) => e.response(),
+            },
+        ),
+        ("GET", "/model") => (Route::Model, topo.model()),
+        ("POST", "/batch") => (Route::Batch, topo.batch(req, metrics)),
+        ("POST", "/aggregate") => (Route::Aggregate, fleet.aggregate(req, topo.pool(), metrics)),
         ("GET", "/metrics") => (
             Route::Metrics,
             Response::text(200, "text/plain; version=0.0.4", metrics.render()),
         ),
-        ("GET", "/riskmap.svg") => (Route::Riskmap, riskmap_response(ctx)),
+        ("GET", "/riskmap.svg") => (Route::Riskmap, topo.riskmap()),
         (m, "/health" | "/healthz" | "/top" | "/pipe" | "/model" | "/metrics" | "/riskmap.svg")
             if m != "GET" =>
         {
@@ -697,176 +716,16 @@ fn route_request(
         }
         _ => (Route::Other, Response::json(404, "{\"error\":\"no such route\"}")),
     };
-    // Every local 503 is a degraded shard that can heal at the next reload
-    // poll: tell the client when to come back. (One place, so no degrade
-    // path — region-routed, global merge, batch, healthz — can forget it.)
     if response.status == 503 {
         response = response.with_header("Retry-After", retry_after_secs.to_string());
     }
     (route, response)
 }
 
-/// The readiness answer: `200` when every shard serves, `503` naming the
-/// degraded shards otherwise. Cheap — no scoring, no per-route counter
-/// (see [`Route::Healthz`]).
-fn healthz_response(ctx: &ServeContext) -> Response {
-    let degraded = ctx.shards().degraded_keys();
-    if degraded.is_empty() {
-        return Response::json(200, "{\"status\":\"ok\"}");
-    }
-    let keys: Vec<String> = degraded.iter().map(|k| json_str(k)).collect();
-    Response::json(
-        503,
-        format!(
-            "{{\"status\":\"degraded\",\"shards\":[{}]}}",
-            keys.join(",")
-        ),
-    )
-}
-
 /// Value of query-string parameter `key` — the shared reader in
 /// [`crate::query`], re-exported under the name the router and the
 /// federation front-end have always used.
 pub(crate) use crate::query::param as query_param;
-
-/// The typed 404 body for a region key naming no loaded shard: the error
-/// plus the full list of known regions, so a caller can self-correct
-/// without a second round trip.
-fn unknown_region_body(shards: &ShardSet, key: &str) -> String {
-    unknown_region_body_keys(shards.keys(), key)
-}
-
-/// [`unknown_region_body`] over raw routing keys — shared with the
-/// federation front-end, whose regions live behind remote backends.
-pub(crate) fn unknown_region_body_keys<'a>(
-    keys: impl Iterator<Item = &'a str>,
-    key: &str,
-) -> String {
-    let regions: Vec<String> = keys.map(json_str).collect();
-    format!(
-        "{{\"error\":{},\"regions\":[{}]}}",
-        json_str(&format!("unknown region {key:?}")),
-        regions.join(",")
-    )
-}
-
-/// The typed 503 body for a degraded shard (corrupt hot-swap under
-/// [`crate::shards::ReloadPolicy::Degrade`]); names the shard so the
-/// client knows every *other* region is still serving.
-fn degraded_shard_body(key: &str, reason: &str) -> String {
-    format!(
-        "{{\"error\":{},\"shard\":{}}}",
-        json_str(&format!("shard {key:?} degraded: {reason}")),
-        json_str(key)
-    )
-}
-
-/// Resolve a `?region=` key to a serving shard: `Err` carries the ready
-/// typed 404 (unknown region) or 503 (degraded shard) response. The `Ok`
-/// scorer is a stable `Arc` view for the rest of the request.
-fn resolve_region(
-    ctx: &ServeContext,
-    metrics: &Metrics,
-    key: &str,
-) -> Result<(usize, Arc<Scorer>), Response> {
-    let shards = ctx.shards();
-    let Some(idx) = shards.index_of(key) else {
-        return Err(Response::json(404, unknown_region_body(shards, key)));
-    };
-    match shards.shards()[idx].serving() {
-        Ok(scorer) => Ok((idx, scorer)),
-        Err(reason) => {
-            metrics.shard_unavailable(idx);
-            Err(Response::json(503, degraded_shard_body(key, &reason)))
-        }
-    }
-}
-
-fn top_response(req: &ParsedRequest, ctx: &ServeContext, metrics: &Metrics) -> Response {
-    let k = match crate::query::top_k(&req.query) {
-        Ok(k) => k,
-        Err(e) => return e.response(),
-    };
-    match query_param(&req.query, "region") {
-        // Region-tagged: route straight to one shard, zero cross-shard
-        // work — the single-snapshot fast path with a binary search in
-        // front.
-        Some(key) => match resolve_region(ctx, metrics, key) {
-            Ok((idx, scorer)) => {
-                metrics.shard_request(idx);
-                Response::json(200, render_top_k(&scorer, k))
-            }
-            Err(response) => response,
-        },
-        // One shard: region-less /top is exactly the legacy endpoint.
-        None if ctx.shards().is_single() => {
-            metrics.shard_request(0);
-            Response::json(200, render_top_k(&ctx.scorer(), k))
-        }
-        // Scatter-gather global top-K across every region.
-        None => match ctx.shards().global_top_k(k) {
-            Ok(merged) => {
-                metrics.global_topk();
-                Response::json(200, render_global_top_k(ctx.shards(), &merged, k))
-            }
-            Err(degraded) => {
-                for key in &degraded {
-                    if let Some(idx) = ctx.shards().index_of(key) {
-                        metrics.shard_unavailable(idx);
-                    }
-                }
-                let keys: Vec<String> = degraded.iter().map(|k| json_str(k)).collect();
-                Response::json(
-                    503,
-                    format!(
-                        "{{\"error\":\"global top-k unavailable: degraded shards\",\"shards\":[{}]}}",
-                        keys.join(",")
-                    ),
-                )
-            }
-        },
-    }
-}
-
-fn pipe_response(req: &ParsedRequest, ctx: &ServeContext, metrics: &Metrics) -> Response {
-    let id = match crate::query::pipe_id(&req.query) {
-        Ok(id) => id,
-        Err(e) => return e.response(),
-    };
-    let (idx, scorer) = match query_param(&req.query, "region") {
-        Some(key) => match resolve_region(ctx, metrics, key) {
-            Ok(found) => found,
-            Err(response) => return response,
-        },
-        None if ctx.shards().is_single() => (0, ctx.scorer()),
-        // Pipe ids are only unique within a region's snapshot; answering
-        // from an arbitrary shard would be silently wrong.
-        None => {
-            let regions: Vec<String> = ctx.shards().keys().map(json_str).collect();
-            return Response::json(
-                400,
-                format!(
-                    "{{\"error\":\"pipe ids are per-region; pass ?region=<key>\",\"regions\":[{}]}}",
-                    regions.join(",")
-                ),
-            );
-        }
-    };
-    metrics.shard_request(idx);
-    match scorer.risk_of(PipeId(id)) {
-        Some(risk) => Response::json(200, render_pipe_risk(&risk)),
-        None => Response::json(404, format!("{{\"error\":\"pipe {id} not ranked\"}}")),
-    }
-}
-
-fn model_response(ctx: &ServeContext) -> Response {
-    // One shard: the legacy body, byte-identical to the single-snapshot
-    // server (pinned by the end-to-end tests).
-    if ctx.shards().is_single() {
-        return Response::json(200, render_model(&ctx.scorer()));
-    }
-    Response::json(200, render_shard_inventory(ctx.shards()))
-}
 
 /// One parsed, shard-resolved `/batch` line.
 enum BatchOp {
@@ -877,224 +736,193 @@ enum BatchOp {
     GlobalTop(usize),
 }
 
-fn batch_response(req: &ParsedRequest, ctx: &ServeContext, metrics: &Metrics) -> Response {
-    let shards = ctx.shards();
-    let mut ops = Vec::new();
-    let mut wants_global = false;
-    for (lineno, raw_line) in req.body.lines().enumerate() {
-        let mut line = raw_line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        // Optional routing prefix: `region=<key> ` in front of the query.
-        let mut region: Option<&str> = None;
-        if let Some(rest) = line.strip_prefix("region=") {
-            let Some((key, query)) = rest.split_once(' ') else {
-                return Response::json(
-                    400,
-                    format!(
-                        "{{\"error\":\"bad query on line {}: {raw_line:?}\"}}",
-                        lineno + 1
-                    ),
-                );
-            };
-            region = Some(key);
-            line = query.trim();
-        }
-        let parsed = match line.split_once(' ') {
-            Some(("top", k)) => k.parse::<usize>().ok().map(Query::TopK),
-            Some(("pipe", id)) => id.parse::<u32>().ok().map(|i| Query::Pipe(PipeId(i))),
-            _ => None,
-        };
-        let Some(query) = parsed else {
-            return Response::json(
-                400,
-                format!("{{\"error\":\"bad query on line {}: {raw_line:?}\"}}", lineno + 1),
-            );
-        };
-        // Resolve the shard up front: a batch with an unaddressable line
-        // fails whole, before any scoring work.
-        let op = match (region, query) {
-            (Some(key), query) => {
-                let Some(idx) = shards.index_of(key) else {
-                    return Response::json(404, unknown_region_body(shards, key));
-                };
-                BatchOp::Shard(idx, query)
-            }
-            (None, query) if shards.is_single() => BatchOp::Shard(0, query),
-            (None, Query::TopK(k)) => {
-                wants_global = true;
-                BatchOp::GlobalTop(k)
-            }
-            (None, Query::Pipe(_)) => {
-                let regions: Vec<String> = shards.keys().map(json_str).collect();
-                return Response::json(
-                    400,
-                    format!(
-                        "{{\"error\":\"pipe ids are per-region; prefix line {} with region=<key>\",\"regions\":[{}]}}",
-                        lineno + 1,
-                        regions.join(",")
-                    ),
-                );
-            }
-        };
-        ops.push(op);
+impl Topology for ServeContext {
+    type Member = crate::shards::Shard;
+
+    fn fleet(&self) -> &ShardSet {
+        &self.shards
     }
 
-    // One Arc clone per shard for the whole batch: every line answers from
-    // the same set of snapshots even if a reload lands mid-batch. A
-    // referenced degraded shard fails the batch with the same typed 503 a
-    // single request would get; a global line needs the whole fleet.
-    let mut views: Vec<Option<Arc<Scorer>>> = vec![None; shards.len()];
-    for (idx, shard) in shards.shards().iter().enumerate() {
-        let referenced = wants_global
-            || ops
-                .iter()
-                .any(|op| matches!(op, BatchOp::Shard(i, _) if *i == idx));
-        if !referenced {
-            continue;
-        }
-        match shard.serving() {
-            Ok(scorer) => views[idx] = Some(scorer),
-            Err(reason) => {
-                metrics.shard_unavailable(idx);
-                return Response::json(503, degraded_shard_body(shard.key(), &reason));
-            }
-        }
-    }
-    for op in &ops {
-        match op {
-            BatchOp::Shard(idx, _) => metrics.shard_request(*idx),
-            BatchOp::GlobalTop(_) => metrics.global_topk(),
-        }
+    fn pool(&self) -> &TaskPool {
+        &self.pool
     }
 
-    // Fan out over the pool; every answer is a pure function of its line
-    // and the frozen views, so results are in line order at any thread
-    // count.
-    let rendered = ctx.pool.run(ops.len(), |i| match &ops[i] {
-        BatchOp::Shard(idx, query) => {
-            let scorer = views[*idx].as_ref().expect("resolved above");
-            render_query_result(&scorer.answer(*query))
+    /// The readiness answer: `200` when every shard serves, `503` naming the
+    /// degraded shards otherwise. Cheap — no scoring, no per-route counter
+    /// (see [`Route::Healthz`]).
+    fn healthz(&self) -> Response {
+        let degraded = self.shards().degraded_keys();
+        if degraded.is_empty() {
+            return Response::json(200, "{\"status\":\"ok\"}");
         }
-        BatchOp::GlobalTop(k) => {
-            let tables: Vec<RiskSlice<'_>> = views
-                .iter()
-                .map(|v| v.as_ref().expect("resolved above").top_k(*k))
-                .collect();
-            let merged = crate::shards::merge_top_k(&tables, *k);
-            let keys: Vec<String> = shards.shards().iter().map(|s| json_str(s.key())).collect();
-            let mut out = String::with_capacity(16 + merged.len() * 80);
-            out.push_str("{\"top\":[");
-            for (rank, g) in merged.iter().enumerate() {
-                if rank > 0 {
-                    out.push(',');
-                }
-                write_global_risk(&mut out, &keys, g, rank);
-            }
-            out.push_str("]}");
-            out
-        }
-    });
-    Response::json(200, format!("{{\"results\":[{}]}}", rendered.join(",")))
-}
-
-/// `POST /aggregate`: parse the declarative pipeline spec, compute one
-/// partial aggregate state per shard on the task pool, and merge the
-/// partials fold-left in routing-key order — the canonical computation
-/// every topology shares, so monolithic, in-process sharded, and
-/// federated servers answer byte-identically (`docs/AGGREGATE.md`).
-/// `?partial=1` returns the merge-ready partial state instead of the
-/// final body: the scatter leg a federation front-end drives.
-fn aggregate_response(req: &ParsedRequest, ctx: &ServeContext, metrics: &Metrics) -> Response {
-    let spec = match AggregateSpec::parse(&req.body) {
-        Ok(spec) => spec,
-        Err(e) => {
-            return Response::json(400, format!("{{\"error\":{}}}", json_str(&e.to_string())));
-        }
-    };
-    let shards = ctx.shards();
-    // Aggregation needs every region (a roll-up over a partial fleet would
-    // be silently wrong): refuse with the degraded list, like the global
-    // top-K. The central 503 hook appends Retry-After.
-    let mut views: Vec<Arc<Scorer>> = Vec::with_capacity(shards.len());
-    let mut degraded: Vec<&str> = Vec::new();
-    for (idx, shard) in shards.shards().iter().enumerate() {
-        match shard.serving() {
-            Ok(scorer) => views.push(scorer),
-            Err(_) => {
-                metrics.shard_unavailable(idx);
-                degraded.push(shard.key());
-            }
-        }
-    }
-    if !degraded.is_empty() {
         let keys: Vec<String> = degraded.iter().map(|k| json_str(k)).collect();
-        return Response::json(
+        Response::json(
             503,
             format!(
-                "{{\"error\":\"aggregate unavailable: degraded shards\",\"shards\":[{}]}}",
+                "{{\"status\":\"degraded\",\"shards\":[{}]}}",
                 keys.join(",")
             ),
-        );
+        )
     }
-    // Length/material/decade queries need the snapshot attribute section;
-    // refuse typed (naming the bare shards) instead of aggregating zeros.
-    if spec.needs_attributes() {
-        let missing: Vec<String> = views
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.attributes().is_none())
-            .map(|(i, _)| json_str(shards.shards()[i].key()))
-            .collect();
-        if !missing.is_empty() {
-            return Response::json(
-                400,
-                format!(
-                    "{{\"error\":{},\"shards\":[{}]}}",
-                    json_str(&aggregate::AggregateError::NoAttributes.to_string()),
-                    missing.join(",")
-                ),
-            );
-        }
-    }
-    for idx in 0..views.len() {
-        metrics.shard_request(idx);
-    }
-    let partials = ctx.pool.run(views.len(), |i| {
-        aggregate::shard_partial(&spec, &views[i]).expect("attributes checked above")
-    });
-    if crate::query::wants_partial(&req.query) {
-        let merged = aggregate::merge_to_partial(&spec, &partials);
-        return Response::json(200, aggregate::render_partial(&merged));
-    }
-    let (groups, budget) = aggregate::merge_partials(&spec, &partials);
-    Response::json(200, aggregate::render_aggregate(&spec, groups, budget))
-}
 
-fn riskmap_response(ctx: &ServeContext) -> Response {
-    if !ctx.shards().is_single() {
-        return Response::json(
-            404,
-            "{\"error\":\"risk maps are single-region; serve one snapshot with --data to enable them\"}",
-        );
-    }
-    match &ctx.dataset {
-        Some(dataset) => {
-            let ranking = ctx.scorer().ranking();
-            let svg = pipefail_eval::riskmap::risk_map(
-                dataset,
-                &ranking,
-                TrainTestSplit::paper_protocol().test,
-                800.0,
-                800.0,
-            );
-            Response::text(200, "image/svg+xml", svg)
+    fn model(&self) -> Response {
+        // One shard: the legacy body, byte-identical to the single-snapshot
+        // server (pinned by the end-to-end tests).
+        if self.shards().is_single() {
+            return Response::json(200, render_model(&self.scorer()));
         }
-        None => Response::json(
-            404,
-            "{\"error\":\"no dataset loaded; start the server with --data to enable risk maps\"}",
-        ),
+        Response::json(200, render_shard_inventory(self.shards()))
+    }
+
+    /// Each line is one query, answered against one frozen view per
+    /// shard; a line addressing a dark shard fails the whole batch (one
+    /// header cannot flag a partial line).
+    fn batch(&self, req: &ParsedRequest, metrics: &Metrics) -> Response {
+        let shards = self.shards();
+        let mut ops = Vec::new();
+        let mut wants_global = false;
+        for (lineno, raw_line) in req.body.lines().enumerate() {
+            let mut line = raw_line.trim();
+            if line.is_empty() {
+                continue;
+            }
+            // Optional routing prefix: `region=<key> ` in front of the query.
+            let mut region: Option<&str> = None;
+            if let Some(rest) = line.strip_prefix("region=") {
+                let Some((key, query)) = rest.split_once(' ') else {
+                    return Response::json(
+                        400,
+                        format!(
+                            "{{\"error\":\"bad query on line {}: {raw_line:?}\"}}",
+                            lineno + 1
+                        ),
+                    );
+                };
+                region = Some(key);
+                line = query.trim();
+            }
+            let parsed = match line.split_once(' ') {
+                Some(("top", k)) => k.parse::<usize>().ok().map(Query::TopK),
+                Some(("pipe", id)) => id.parse::<u32>().ok().map(|i| Query::Pipe(PipeId(i))),
+                _ => None,
+            };
+            let Some(query) = parsed else {
+                return Response::json(
+                    400,
+                    format!("{{\"error\":\"bad query on line {}: {raw_line:?}\"}}", lineno + 1),
+                );
+            };
+            // Resolve the shard up front: a batch with an unaddressable line
+            // fails whole, before any scoring work.
+            let op = match (region, query) {
+                (Some(key), query) => {
+                    let Some(idx) = shards.index_of(key) else {
+                        return shards.unknown_region(key);
+                    };
+                    BatchOp::Shard(idx, query)
+                }
+                (None, query) if shards.is_single() => BatchOp::Shard(0, query),
+                (None, Query::TopK(k)) => {
+                    wants_global = true;
+                    BatchOp::GlobalTop(k)
+                }
+                (None, Query::Pipe(_)) => {
+                    let regions: Vec<String> = shards.keys().map(json_str).collect();
+                    return Response::json(
+                        400,
+                        format!(
+                            "{{\"error\":\"pipe ids are per-region; prefix line {} with region=<key>\",\"regions\":[{}]}}",
+                            lineno + 1,
+                            regions.join(",")
+                        ),
+                    );
+                }
+            };
+            ops.push(op);
+        }
+
+        // One Arc clone per shard for the whole batch: every line answers from
+        // the same set of snapshots even if a reload lands mid-batch. A
+        // referenced degraded shard fails the batch with the same typed 503 a
+        // single request would get; a global line needs the whole fleet.
+        let mut views: Vec<Option<Arc<Scorer>>> = vec![None; shards.len()];
+        for (idx, shard) in shards.shards().iter().enumerate() {
+            let referenced = wants_global
+                || ops
+                    .iter()
+                    .any(|op| matches!(op, BatchOp::Shard(i, _) if *i == idx));
+            if !referenced {
+                continue;
+            }
+            match shard.serving_or_503() {
+                Ok(scorer) => views[idx] = Some(scorer),
+                Err(refusal) => {
+                    metrics.shard_unavailable(idx);
+                    return refusal;
+                }
+            }
+        }
+        for op in &ops {
+            match op {
+                BatchOp::Shard(idx, _) => metrics.shard_request(*idx),
+                BatchOp::GlobalTop(_) => metrics.global_topk(),
+            }
+        }
+
+        // Fan out over the pool; every answer is a pure function of its line
+        // and the frozen views, so results are in line order at any thread
+        // count.
+        let rendered = self.pool.run(ops.len(), |i| match &ops[i] {
+            BatchOp::Shard(idx, query) => {
+                let scorer = views[*idx].as_ref().expect("resolved above");
+                render_query_result(&scorer.answer(*query))
+            }
+            BatchOp::GlobalTop(k) => {
+                let tables: Vec<RiskSlice<'_>> = views
+                    .iter()
+                    .map(|v| v.as_ref().expect("resolved above").top_k(*k))
+                    .collect();
+                let merged = crate::shards::merge_top_k(&tables, *k);
+                let keys: Vec<String> = shards.keys().map(json_str).collect();
+                let mut out = String::with_capacity(16 + merged.len() * 80);
+                out.push_str("{\"top\":[");
+                for (rank, g) in merged.iter().enumerate() {
+                    if rank > 0 {
+                        out.push(',');
+                    }
+                    write_global_risk(&mut out, &keys, g, rank);
+                }
+                out.push_str("]}");
+                out
+            }
+        });
+        Response::json(200, format!("{{\"results\":[{}]}}", rendered.join(",")))
+    }
+
+    fn riskmap(&self) -> Response {
+        if !self.shards().is_single() {
+            return Response::json(
+                404,
+                "{\"error\":\"risk maps are single-region; serve one snapshot with --data to enable them\"}",
+            );
+        }
+        match &self.dataset {
+            Some(dataset) => {
+                let ranking = self.scorer().ranking();
+                let svg = pipefail_eval::riskmap::risk_map(
+                    dataset,
+                    &ranking,
+                    TrainTestSplit::paper_protocol().test,
+                    800.0,
+                    800.0,
+                );
+                Response::text(200, "image/svg+xml", svg)
+            }
+            None => Response::json(
+                404,
+                "{\"error\":\"no dataset loaded; start the server with --data to enable risk maps\"}",
+            ),
+        }
     }
 }
 
@@ -1166,50 +994,34 @@ pub fn render_model(scorer: &Scorer) -> String {
     )
 }
 
-/// JSON for one merged [`GlobalRisk`] entry: the pipe's risk, its
-/// *global* rank (position in the merged ranking), the region key it came
-/// from, and its rank within that shard.
-/// JSON for the scatter-gathered global top-K; the exact body served by a
-/// region-less `GET /top` on a sharded server. Entries carry the global
-/// rank, the owning region, and the entry's rank *within* that region.
+/// JSON for a scatter-gathered global top-K; the exact body served by a
+/// region-less `GET /top` on a sharded server or a federation front end.
+/// `merged` indexes `fleet`'s members (a partial answer renders over the
+/// fleet of its serving members). Entries carry the global rank, the
+/// owning region, and the entry's rank *within* that region.
 ///
 /// Streamed into one buffer with the shard keys escaped once up front —
 /// per-entry allocation here was the bulk of the scatter-gather overhead
 /// over monolithic serving (see `serve/sharded/*` in `BENCH_perf.json`).
-pub fn render_global_top_k(shards: &ShardSet, merged: &[GlobalRisk], k: usize) -> String {
-    let keys: Vec<String> = shards.shards().iter().map(|s| json_str(s.key())).collect();
-    render_global_top_k_keys(&keys, merged, k)
-}
-
-/// [`render_global_top_k`] over pre-escaped shard keys instead of a local
-/// [`ShardSet`] — the federation front-end renders the same body from
-/// remote backends, so the two paths share one serializer (byte-identity
-/// by construction).
-pub(crate) fn render_global_top_k_keys(
-    keys_escaped: &[String],
-    merged: &[GlobalRisk],
-    k: usize,
-) -> String {
+pub fn render_global_top_k<B>(fleet: &Fleet<B>, merged: &[GlobalRisk], k: usize) -> String {
     use std::fmt::Write as _;
+    let keys: Vec<String> = fleet.keys().map(json_str).collect();
     let mut out = String::with_capacity(48 + merged.len() * 80);
-    let _ = write!(
-        out,
-        "{{\"k\":{},\"shards\":{},\"results\":[",
-        k,
-        keys_escaped.len()
-    );
+    let _ = write!(out, "{{\"k\":{},\"shards\":{},\"results\":[", k, keys.len());
     for (rank, g) in merged.iter().enumerate() {
         if rank > 0 {
             out.push(',');
         }
-        write_global_risk(&mut out, keys_escaped, g, rank);
+        write_global_risk(&mut out, &keys, g, rank);
     }
     out.push_str("]}");
     out
 }
 
-/// Append one merged entry to `out`; `keys` holds the pre-escaped shard
-/// keys so per-entry rendering never re-escapes.
+/// Append the JSON for one merged [`GlobalRisk`] entry to `out`: the
+/// pipe's risk, its *global* rank (position in the merged ranking), the
+/// region key it came from, and its rank within that shard. `keys` holds
+/// the pre-escaped shard keys so per-entry rendering never re-escapes.
 fn write_global_risk(out: &mut String, keys: &[String], g: &GlobalRisk, global_rank: usize) {
     use std::fmt::Write as _;
     let _ = write!(
@@ -1286,6 +1098,7 @@ pub(crate) fn json_str(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::AggregateSpec;
     use pipefail_core::model::{RiskRanking, RiskScore};
     use pipefail_core::snapshot::Snapshot;
 
@@ -1463,10 +1276,13 @@ mod tests {
         // The sibling still answers…
         let (_, resp) = route_request(&get("/top?region=region_b"), &ctx, &metrics, 1);
         assert_eq!(resp.status, 200);
-        // …but the global merge refuses a partial fleet.
+        // …and the global merge answers over the serving region, flagging
+        // the dark one.
         let (_, resp) = route_request(&get("/top"), &ctx, &metrics, 1);
-        assert_eq!(resp.status, 503);
-        assert!(resp.body.contains("\"shards\":[\"region_a\"]"), "{}", resp.body);
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        assert_eq!(resp.header("X-Pipefail-Partial"), Some("region_a"));
+        assert!(resp.body.starts_with("{\"k\":10,\"shards\":1,"), "{}", resp.body);
+        assert!(!resp.body.contains("region_a"), "{}", resp.body);
         assert_eq!(metrics.shard_unavailable_total(0), 2);
     }
 
@@ -1485,14 +1301,16 @@ mod tests {
         assert_eq!(resp.status, 503);
         assert!(resp.body.contains("\"shards\":[\"region_a\"]"), "{}", resp.body);
         assert_eq!(resp.header("Retry-After"), Some("5"));
-        // …and every other degrade path advertises the same Retry-After:
-        // region-routed, global merge, and batch.
+        // …and every other degrade 503 advertises the same Retry-After:
+        // region-routed and batch. The global merge goes partial instead
+        // (a 200, so no Retry-After) until every shard is dark.
         let (_, resp) = route_request(&get("/top?region=region_a"), &ctx, &metrics, 5);
         assert_eq!(resp.status, 503);
         assert_eq!(resp.header("Retry-After"), Some("5"));
         let (_, resp) = route_request(&get("/top"), &ctx, &metrics, 5);
-        assert_eq!(resp.status, 503);
-        assert_eq!(resp.header("Retry-After"), Some("5"));
+        assert_eq!(resp.status, 200);
+        assert_eq!(resp.header("X-Pipefail-Partial"), Some("region_a"));
+        assert!(resp.header("Retry-After").is_none());
         let mut req = get("/batch");
         req.method = "POST".into();
         req.body = "region=region_a top 1\n".into();
@@ -1503,6 +1321,11 @@ mod tests {
         let (_, resp) = route_request(&get("/top?region=region_b"), &ctx, &metrics, 5);
         assert_eq!(resp.status, 200);
         assert!(resp.header("Retry-After").is_none());
+        // A fully dark fleet refuses the global merge, with Retry-After.
+        ctx.shards().get("region_b").unwrap().degrade("bad bytes".into());
+        let (_, resp) = route_request(&get("/top"), &ctx, &metrics, 5);
+        assert_eq!(resp.status, 503);
+        assert_eq!(resp.header("Retry-After"), Some("5"));
     }
 
     #[test]
@@ -1636,13 +1459,25 @@ mod tests {
         );
         assert_eq!(metrics.shard_requests(0), 1);
         assert_eq!(metrics.shard_requests(1), 1);
-        // A degraded shard refuses the whole aggregate, with Retry-After.
+        // A degraded shard drops out: the aggregate covers the serving
+        // region, flagged partial.
         ctx.shards().get("region_b").unwrap().degrade("bad bytes".into());
         let (_, resp) = route_request(&post("/aggregate", spec), &ctx, &metrics, 2);
-        assert_eq!(resp.status, 503);
-        assert!(resp.body.contains("\"shards\":[\"region_b\"]"), "{}", resp.body);
-        assert_eq!(resp.header("Retry-After"), Some("2"));
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        assert_eq!(resp.header("X-Pipefail-Partial"), Some("region_b"));
+        assert_eq!(
+            resp.body,
+            "{\"groups\":[{\"key\":{\"region\":\"region_a\"},\"count\":2,\"max_risk\":0.9}]}"
+        );
+        assert!(resp.header("Retry-After").is_none());
         assert_eq!(metrics.shard_unavailable_total(1), 1);
+        // With every shard dark, the aggregate refuses with Retry-After.
+        ctx.shards().get("region_a").unwrap().degrade("bad bytes".into());
+        let (_, resp) = route_request(&post("/aggregate", spec), &ctx, &metrics, 2);
+        assert_eq!(resp.status, 503);
+        assert!(resp.body.contains("\"shards\":[\"region_a\",\"region_b\"]"), "{}", resp.body);
+        assert_eq!(resp.header("Retry-After"), Some("2"));
+        assert_eq!(metrics.shard_unavailable_total(1), 2);
     }
 
     #[test]

@@ -38,18 +38,25 @@
 //!   admission control answers `429` + `Retry-After` under pressure.
 //!   Serving is Linux-only; elsewhere [`serve`] returns
 //!   [`ServeError::UnsupportedPlatform`].
-//! * [`shards`] — shard-by-region serving: a [`ShardSet`] loads one
-//!   snapshot per region **in parallel on the `TaskPool`** and serves them
-//!   behind one endpoint. Region-tagged queries route to one shard;
-//!   region-less `/top` scatter-gathers a global top-K with a bounded
-//!   k-way merge (O(shards·k), never re-sorting the union).
+//! * [`fleet`] — the one scatter-gather engine every topology serves
+//!   through: a [`fleet::Fleet`] of regional members (in-process shards or
+//!   remote backends) sorted by routing key. It resolves `?region=` keys,
+//!   scatter-gathers the global top-K with a bounded k-way merge
+//!   (O(members·k), never re-sorting the union) and the `/aggregate`
+//!   partials, and applies one degrade policy: a dark member 503s its own
+//!   region, fleet-scope answers cover the serving members behind
+//!   `X-Pipefail-Partial`, and only a fully dark fleet 503s them.
+//! * [`shards`] — shard-by-region serving, i.e. local federation: a
+//!   [`ShardSet`] is a fleet of in-process shards, loading one snapshot
+//!   per region **in parallel on the `TaskPool`** and serving them behind
+//!   one endpoint.
 //! * [`reload`] — snapshot hot-reload: an mtime-polling watcher with a
 //!   per-shard `(mtime, len, inode)` stamp that atomically swaps each
 //!   shard's scorer behind an `Arc` so a re-fitted model goes live with
 //!   zero downtime. A corrupt replacement is rejected by the strict
 //!   loader; in single-snapshot mode the old model keeps serving, in
-//!   sharded mode only that shard degrades to a typed 503 until a valid
-//!   snapshot heals it.
+//!   sharded mode only that shard goes dark (its region a typed 503) until
+//!   a valid snapshot heals it.
 //! * [`aggregate`] — the declarative `POST /aggregate` analytics engine:
 //!   a typed JSON pipeline spec (group by `region`/`material`/`decade`;
 //!   `count`/`sum`/`avg`/`min`/`max` over risk and pipe length; optional
@@ -60,16 +67,14 @@
 //! * [`metrics`] — lock-free request counters (including keep-alive reuse
 //!   and reload outcomes) and one per-route latency histogram, exposed at
 //!   `/metrics` in Prometheus text exposition format.
-//! * [`federation`] — remote-shard federation: a front-end process that
-//!   routes `?region=K` queries to backend serve processes over keep-alive
-//!   TCP and scatter-gathers the global top-K with the same k-way merge
-//!   (byte-identical bodies). Robustness layer: typed
+//! * [`federation`] — remote-shard federation: a [`Federation`] is a fleet
+//!   of backend serve processes reached over keep-alive TCP, served by the
+//!   same engine and route table as in-process shards (byte-identical
+//!   bodies, the same degrade policy). Robustness layer: typed
 //!   `Healthy`/`Suspect`/`Down` backend health (periodic `/healthz`
 //!   probes plus passive failure marking), per-request deadlines with capped
-//!   jittered backoff retries on idempotent GETs, p99-derived hedged
-//!   requests, and per-region degradation — a `Down` backend 503s only
-//!   its own region (with `Retry-After`) while the global merge keeps
-//!   serving behind an `X-Pipefail-Partial` header.
+//!   jittered backoff retries on idempotent GETs, and p99-derived hedged
+//!   requests; a `Down` backend is a dark fleet member.
 //!
 //! The fit → snapshot → serve → query walkthrough lives in
 //! `docs/SERVING.md`; the byte-level snapshot spec in
@@ -80,6 +85,7 @@ pub(crate) mod cache;
 #[cfg(target_os = "linux")]
 pub(crate) mod event_loop;
 pub mod federation;
+pub mod fleet;
 pub mod http;
 pub(crate) mod knobs;
 pub mod metrics;

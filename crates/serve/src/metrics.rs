@@ -6,6 +6,7 @@
 //! (standard practice for counter scrapes). The exposition format is the
 //! Prometheus text format, so the endpoint can be scraped as-is.
 
+use crate::fleet::{Backend, Fleet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -158,8 +159,8 @@ pub struct Metrics {
     fed_probes: AtomicU64,
     /// Federation only: health probes that failed.
     fed_probe_failures: AtomicU64,
-    /// True when this server is a federation front-end: the `fed_*`
-    /// counters render (and the shard series are labelled per backend).
+    /// True when this server fronts remote backends: the `fed_*` counters
+    /// render (and the shard series are labelled per backend).
     federated: bool,
     /// One entry per shard, in shard-set (routing-key) order; empty for a
     /// plain `Metrics::new()`.
@@ -188,13 +189,13 @@ impl Metrics {
         }
     }
 
-    /// Fresh zeroed metrics for a federation front-end: one shard series
-    /// per remote backend (labelled with its region key) plus the
-    /// federation-specific `pipefail_fed_*` counters in the exposition.
-    pub fn with_backends(labels: Vec<String>) -> Self {
+    /// Fresh zeroed metrics for serving `fleet`: one shard series per
+    /// member (labelled with its region key), plus the `pipefail_fed_*`
+    /// counters in the exposition when the members are remote backends.
+    pub(crate) fn for_fleet<B: Backend>(fleet: &Fleet<B>) -> Self {
         Self {
-            federated: true,
-            ..Self::with_shards(labels)
+            federated: B::REMOTE,
+            ..Self::with_shards(fleet.keys().map(String::from).collect())
         }
     }
 
@@ -729,7 +730,15 @@ mod tests {
 
     #[test]
     fn federation_counters_render_only_on_federated_metrics() {
-        let m = Metrics::with_backends(vec!["region_a".into(), "region_b".into()]);
+        let fed = crate::Federation::new(
+            vec![
+                ("region_a".into(), "127.0.0.1:9001".into()),
+                ("region_b".into(), "127.0.0.1:9002".into()),
+            ],
+            crate::FedConfig::default(),
+        )
+        .expect("valid fleet");
+        let m = Metrics::for_fleet(crate::http::Topology::fleet(&fed));
         m.fed_retry();
         m.fed_hedge();
         m.fed_hedge();

@@ -23,8 +23,9 @@
 //!
 //! * [`ReloadPolicy::KeepLastGood`] (single-snapshot mode): the previous
 //!   scorer keeps serving every request, invisibly to clients.
-//! * [`ReloadPolicy::Degrade`] (sharded mode): *that shard only* starts
-//!   answering a typed `503` until a valid snapshot lands — a region
+//! * [`ReloadPolicy::Degrade`] (sharded mode): *that shard only* goes
+//!   dark until a valid snapshot lands — its region answers a typed `503`
+//!   and fleet-wide answers go partial (`crate::fleet`). A region
 //!   silently pinned to last week's model while its siblings move on is
 //!   the invisible failure mode sharded serving refuses. The shard heals
 //!   on the next valid swap.

@@ -3,9 +3,12 @@
 //! The paper's method ranks pipes *per region/network* (metro water vs.
 //! wastewater vs. regional bins), so a utility covering a whole metropolis
 //! fits one model per region and wants all of them served from one
-//! process. A [`ShardSet`] holds one [`Shard`] per region: each shard is
-//! the familiar `RwLock<Arc<Scorer>>` hot-swap cell plus its own snapshot
-//! path, so shards load, serve, reload, and fail independently.
+//! process. A [`ShardSet`] is a [`Fleet`] of [`Shard`]s, one per region:
+//! each shard is the familiar `RwLock<Arc<Scorer>>` hot-swap cell plus its
+//! own snapshot path, so shards load, serve, reload, and fail
+//! independently. Routing, the global merge, `/aggregate`, and the degrade
+//! policy are the fleet engine's ([`crate::fleet`]), shared with remote
+//! federation: sharding is local federation.
 //!
 //! * **Loading** (`load_dir` / `load_paths`) strict-validates every
 //!   snapshot **in parallel** on the caller's [`TaskPool`]; any corrupt
@@ -22,10 +25,11 @@
 //!   re-sorted.
 //! * **Hot-reload is per-shard**: one region's refresh never blocks or
 //!   invalidates the others. Under [`ReloadPolicy::Degrade`] (the sharded
-//!   default) a corrupt replacement marks *only that shard* unavailable
-//!   (typed 503) until a valid snapshot lands, while every other region
-//!   keeps serving; [`ReloadPolicy::KeepLastGood`] preserves the legacy
-//!   single-snapshot behaviour of serving the previous model.
+//!   default) a corrupt replacement marks *only that shard* dark until a
+//!   valid snapshot lands: its region answers a typed 503, global answers
+//!   go partial, and every other region keeps serving.
+//!   [`ReloadPolicy::KeepLastGood`] preserves the legacy single-snapshot
+//!   behaviour of serving the previous model.
 //!
 //! ## Why the two reload policies differ
 //!
@@ -38,9 +42,15 @@
 //! for that region only — until the publish is fixed. The shard heals the
 //! moment a valid snapshot replaces the corrupt one.
 
+use crate::aggregate::{self, AggregatePartial, AggregateSpec};
+use crate::fleet::{Ask, Backend, Fleet, Miss, TopTable};
+use crate::http::{json_str, render_pipe_risk, render_top_k, Response};
+use crate::metrics::Metrics;
+use crate::parser::ParsedRequest;
 use crate::scorer::{PipeRisk, RiskSlice, Scorer};
 use crate::ServeError;
 use pipefail_core::snapshot::SnapshotError;
+use pipefail_network::ids::PipeId;
 use pipefail_par::TaskPool;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -83,6 +93,7 @@ struct ShardState {
 pub struct Shard {
     key: String,
     path: Option<PathBuf>,
+    policy: ReloadPolicy,
     state: RwLock<ShardState>,
     /// Monotonic generation of this shard's observable state. Starts at 1
     /// and is bumped by every [`Shard::swap`] *and* every
@@ -94,10 +105,11 @@ pub struct Shard {
 }
 
 impl Shard {
-    fn new(scorer: Scorer, path: Option<PathBuf>) -> Self {
+    fn new(scorer: Scorer, path: Option<PathBuf>, policy: ReloadPolicy) -> Self {
         Self {
             key: region_key(scorer.region()),
             path,
+            policy,
             state: RwLock::new(ShardState {
                 scorer: Arc::new(scorer),
                 fault: None,
@@ -126,6 +138,22 @@ impl Shard {
             None => Ok(Arc::clone(&state.scorer)),
             Some(reason) => Err(reason.clone()),
         }
+    }
+
+    /// The active scorer, or the typed 503 a degraded shard answers: it
+    /// names the shard so the client knows every *other* region still
+    /// serves.
+    pub(crate) fn serving_or_503(&self) -> Result<Arc<Scorer>, Response> {
+        self.serving().map_err(|reason| {
+            Response::json(
+                503,
+                format!(
+                    "{{\"error\":{},\"shard\":{}}}",
+                    json_str(&format!("shard {:?} degraded: {reason}", self.key)),
+                    json_str(&self.key)
+                ),
+            )
+        })
     }
 
     /// The last successfully loaded scorer, whether or not the shard is
@@ -177,42 +205,37 @@ impl Shard {
     }
 }
 
-/// One entry of a scatter-gathered global ranking: which shard the pipe
-/// came from (index into [`ShardSet::shards`]) and its risk with the
-/// *shard-local* rank (the global rank is the entry's position in the
-/// merged output).
+/// One entry of a scatter-gathered global ranking: which of the merged
+/// tables the pipe came from (for a whole-fleet merge, its index into
+/// [`ShardSet::shards`]) and its risk with the *shard-local* rank (the
+/// global rank is the entry's position in the merged output).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GlobalRisk {
-    /// Index of the contributing shard.
+    /// Index of the contributing table.
     pub shard: usize,
     /// The pipe's risk; `rank` is its rank *within its shard*.
     pub risk: PipeRisk,
 }
 
-/// An immutable set of per-region shards, sorted by routing key.
-#[derive(Debug)]
-pub struct ShardSet {
-    /// Sorted by `key` — lookup is binary search, iteration order is
-    /// deterministic, and the scatter-gather tie-break follows this order.
-    shards: Vec<Shard>,
-    policy: ReloadPolicy,
-}
+/// The in-process fleet: per-region shards sorted by routing key.
+pub type ShardSet = Fleet<Shard>;
 
 impl ShardSet {
     /// A one-shard set with legacy single-snapshot semantics
     /// ([`ReloadPolicy::KeepLastGood`]).
     pub fn single(scorer: Scorer) -> Self {
-        Self {
-            shards: vec![Shard::new(scorer, None)],
-            policy: ReloadPolicy::KeepLastGood,
-        }
+        Self::assemble_shards(vec![(scorer, None)], ReloadPolicy::KeepLastGood)
+            .expect("one shard is a valid fleet")
     }
 
     /// Build a sharded set from already-loaded scorers (no watched paths).
     /// Fails on an empty list or on two scorers mapping to the same
     /// region key.
     pub fn from_scorers(scorers: Vec<Scorer>) -> Result<Self, ServeError> {
-        Self::assemble(scorers.into_iter().map(|s| (s, None)).collect())
+        Self::assemble_shards(
+            scorers.into_iter().map(|s| (s, None)).collect(),
+            ReloadPolicy::Degrade,
+        )
     }
 
     /// Load and strict-validate one snapshot per path, **in parallel** on
@@ -237,7 +260,7 @@ impl ShardSet {
                 }
             }
         }
-        Self::assemble(shards)
+        Self::assemble_shards(shards, ReloadPolicy::Degrade)
     }
 
     /// Load every `*.pfsnap` file in `dir` (sorted by file name for a
@@ -258,72 +281,29 @@ impl ShardSet {
         Self::load_paths(&paths, pool)
     }
 
-    fn assemble(scorers: Vec<(Scorer, Option<PathBuf>)>) -> Result<Self, ServeError> {
-        if scorers.is_empty() {
-            return Err(ServeError::BadConfig("a shard set needs at least one shard".into()));
-        }
-        let mut shards: Vec<Shard> = scorers
-            .into_iter()
-            .map(|(scorer, path)| Shard::new(scorer, path))
-            .collect();
-        shards.sort_by(|a, b| a.key.cmp(&b.key));
-        if let Some(w) = shards.windows(2).find(|w| w[0].key == w[1].key) {
-            return Err(ServeError::BadConfig(format!(
-                "two snapshots map to the same region key {:?} (regions {:?} and {:?})",
-                w[0].key,
-                w[0].last_good().region(),
-                w[1].last_good().region(),
-            )));
-        }
-        Ok(Self {
-            shards,
-            policy: ReloadPolicy::Degrade,
-        })
-    }
-
-    /// Number of shards (always ≥ 1).
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Never true — constructors reject empty sets — but provided for the
-    /// usual container idiom.
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
-    /// True when region-less `/pipe` and `/top` can route unambiguously
-    /// (exactly one shard).
-    pub fn is_single(&self) -> bool {
-        self.shards.len() == 1
+    fn assemble_shards(
+        scorers: Vec<(Scorer, Option<PathBuf>)>,
+        policy: ReloadPolicy,
+    ) -> Result<Self, ServeError> {
+        Fleet::assemble(
+            scorers
+                .into_iter()
+                .map(|(scorer, path)| {
+                    let shard = Shard::new(scorer, path, policy);
+                    (shard.key.clone(), shard)
+                })
+                .collect(),
+        )
     }
 
     /// What a corrupt hot-swap does to a shard.
     pub fn policy(&self) -> ReloadPolicy {
-        self.policy
+        self.shards()[0].policy
     }
 
     /// The shards, sorted by routing key.
-    pub fn shards(&self) -> &[Shard] {
-        &self.shards
-    }
-
-    /// Routing keys in shard order.
-    pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.shards.iter().map(|s| s.key())
-    }
-
-    /// Index of the shard serving `key` (binary search over the sorted
-    /// keys), or `None` for an unknown region.
-    pub fn index_of(&self, key: &str) -> Option<usize> {
-        self.shards
-            .binary_search_by(|s| s.key.as_str().cmp(key))
-            .ok()
-    }
-
-    /// The shard serving `key`, if any.
-    pub fn get(&self, key: &str) -> Option<&Shard> {
-        self.index_of(key).map(|i| &self.shards[i])
+    pub fn shards(&self) -> &[Arc<Shard>] {
+        self.members()
     }
 
     /// Sum of every shard's [`Shard::epoch`] — a fleet-wide state
@@ -332,24 +312,24 @@ impl ShardSet {
     /// and retires every cached fleet-scope artefact (global top-K merge,
     /// `/aggregate`) keyed under the previous one.
     pub fn fleet_epoch(&self) -> u64 {
-        self.shards.iter().map(|s| s.epoch()).sum()
+        self.epoch()
     }
 
     /// Routing keys of shards currently refusing requests (Degrade policy
     /// after a failed reload), in shard order. Empty when fully healthy —
     /// the `/healthz` answer is derived from this.
     pub fn degraded_keys(&self) -> Vec<String> {
-        self.shards
+        self.shards()
             .iter()
             .filter(|s| s.serving().is_err())
             .map(|s| s.key().to_string())
             .collect()
     }
 
-    /// Scatter-gather global top-K: every *serving* shard contributes its
-    /// own top-K slice and the slices are k-way merged. Errs with the keys
-    /// of degraded shards — a global ranking computed over a partial fleet
-    /// would be silently wrong, so it is refused loudly instead.
+    /// Global top-K over the whole set: every shard contributes its own
+    /// top-K slice and the slices are k-way merged. Errs with the keys of
+    /// degraded shards: this is the full-fleet merge (the served region-less
+    /// `/top` answers a partial one instead, see [`crate::fleet`]).
     ///
     /// The merged prefix is byte-identical to the top-K of one monolithic
     /// snapshot holding the same pipes (shard-order concatenation, stable
@@ -357,19 +337,61 @@ impl ShardSet {
     /// lower shard-local rank, exactly like `RiskRanking::new`'s stable
     /// sort. Property-tested in `tests/sharded_serving.rs`.
     pub fn global_top_k(&self, k: usize) -> Result<Vec<GlobalRisk>, Vec<String>> {
-        let mut tops: Vec<Arc<Scorer>> = Vec::with_capacity(self.shards.len());
+        let mut views: Vec<Arc<Scorer>> = Vec::with_capacity(self.len());
         let mut degraded = Vec::new();
-        for shard in &self.shards {
+        for shard in self.shards() {
             match shard.serving() {
-                Ok(scorer) => tops.push(scorer),
+                Ok(scorer) => views.push(scorer),
                 Err(_) => degraded.push(shard.key.clone()),
             }
         }
         if !degraded.is_empty() {
             return Err(degraded);
         }
-        let tables: Vec<RiskSlice<'_>> = tops.iter().map(|s| s.top_k(k)).collect();
+        let tables: Vec<RiskSlice<'_>> = views.iter().map(|s| s.top_k(k)).collect();
         Ok(merge_top_k(&tables, k))
+    }
+}
+
+impl Backend for Shard {
+    const REMOTE: bool = false;
+
+    fn generation(&self) -> u64 {
+        self.epoch()
+    }
+
+    fn exact_epoch(&self) -> Option<u64> {
+        Some(self.epoch())
+    }
+
+    fn region(
+        self: &Arc<Self>,
+        ask: Ask,
+        _: &ParsedRequest,
+        _: &Metrics,
+    ) -> Result<Response, Response> {
+        let scorer = self.serving_or_503()?;
+        Ok(match ask {
+            Ask::Top(k) => Response::json(200, render_top_k(&scorer, k)),
+            Ask::Pipe(id) => match scorer.risk_of(PipeId(id)) {
+                Some(risk) => Response::json(200, render_pipe_risk(&risk)),
+                None => Response::json(404, format!("{{\"error\":\"pipe {id} not ranked\"}}")),
+            },
+        })
+    }
+
+    fn top(self: &Arc<Self>, _: usize, _: &Metrics) -> Option<TopTable> {
+        self.serving().ok().map(TopTable::Local)
+    }
+
+    fn partial(
+        self: &Arc<Self>,
+        spec: &AggregateSpec,
+        _: &str,
+        _: &Metrics,
+    ) -> Result<AggregatePartial, Miss> {
+        let scorer = self.serving().map_err(|_| Miss::Dark)?;
+        aggregate::shard_partial(spec, &scorer).map_err(|_| Miss::NoAttributes)
     }
 }
 

@@ -13,7 +13,8 @@
 //!   are typed 400s and never wedge the connection — the same keep-alive
 //!   socket keeps serving afterwards;
 //! * snapshots without the attributes section answer a typed 400 for
-//!   attribute-hungry pipelines but still serve region-only ones.
+//!   attribute-hungry pipelines but still serve region-only ones — and a
+//!   federation front end answers the same 400, naming the same regions.
 
 mod common;
 
@@ -21,7 +22,10 @@ use common::{get_once, post_once, post_request, Conn};
 use pipefail_core::model::{RiskRanking, RiskScore};
 use pipefail_core::snapshot::{attributes_section, Snapshot};
 use pipefail_network::ids::PipeId;
-use pipefail_serve::{serve, Scorer, ServeContext, ServerConfig, ServerHandle, ShardSet};
+use pipefail_serve::{
+    serve, serve_federated, BackendState, FedConfig, Federation, Scorer, ServeContext,
+    ServerConfig, ServerHandle, ShardSet,
+};
 use std::sync::Arc;
 
 /// Regional snapshot with `n` pipes, descending scores from `base`, and
@@ -262,4 +266,77 @@ fn snapshots_without_attributes_refuse_attribute_pipelines_but_serve_region_ones
     assert!(region_only.body.contains("\"count\":5"), "{}", region_only.body);
 
     bare.shutdown();
+}
+
+/// Attribute-less snapshot of `region`: five pipes, ranking only.
+fn bare_scorer(region: &str) -> Scorer {
+    let ranking = RiskRanking::new(
+        (0..5)
+            .map(|i| RiskScore { pipe: PipeId(i), score: 1.0 - f64::from(i) / 5.0 })
+            .collect(),
+    );
+    Scorer::new(Snapshot::new("DPMHBP", region, 7, &ranking))
+}
+
+/// Missing attributes are the client's error on every topology: a
+/// federation front end answers an attribute-needing pipeline with the
+/// in-process sharded server's exact 400 naming the bare regions — never
+/// a retryable 503, never a silent partial 200 over the regions that have
+/// attributes — still serves region-only pipelines, and the backends'
+/// 400s never count against their health.
+#[test]
+fn federated_snapshots_without_attributes_refuse_like_in_process() {
+    let backend = |scorer: Scorer| {
+        serve(Arc::new(ServeContext::new(scorer)), &server_config()).expect("backend starts")
+    };
+    let bare_a = backend(bare_scorer("Region A"));
+    let bare_b = backend(bare_scorer("Region B"));
+    let attr_b = single("Region B", 20, 2.0);
+    let fed_config = FedConfig { hedge_ms: Some(0), probe_secs: 0.1, ..FedConfig::default() };
+    let federate = |b: &ServerHandle| {
+        let fed = Arc::new(
+            Federation::new(
+                vec![
+                    ("Region A".into(), bare_a.addr().to_string()),
+                    ("Region B".into(), b.addr().to_string()),
+                ],
+                fed_config.clone(),
+            )
+            .expect("federation builds"),
+        );
+        let front = serve_federated(Arc::clone(&fed), &server_config()).expect("front starts");
+        (front, fed)
+    };
+    let region_only =
+        "{\"group_by\":[\"region\"],\"aggregates\":[{\"op\":\"count\"},{\"op\":\"avg\",\"field\":\"risk\"}]}";
+
+    let cases = [
+        (&bare_b, vec![bare_scorer("Region A"), bare_scorer("Region B")], "[\"region_a\",\"region_b\"]"),
+        (&attr_b, vec![bare_scorer("Region A"), attr_scorer("Region B", 20, 2.0)], "[\"region_a\"]"),
+    ];
+    for (b, oracle_scorers, bare_keys) in cases {
+        let (front, fed) = federate(b);
+        let oracle = sharded(oracle_scorers);
+
+        let needy = post_once(front.addr(), "/aggregate", GROUP_SPEC);
+        let in_process = post_once(oracle.addr(), "/aggregate", GROUP_SPEC);
+        assert_eq!(needy.status, 400, "{}", needy.body);
+        assert_eq!(needy.body, in_process.body);
+        assert!(needy.body.contains(&format!("\"shards\":{bare_keys}")), "{}", needy.body);
+        assert!(needy.header("retry-after").is_none(), "{}", needy.body);
+        assert!(needy.header("x-pipefail-partial").is_none(), "{}", needy.body);
+
+        let counted = post_once(front.addr(), "/aggregate", region_only);
+        assert_eq!(counted.status, 200, "{}", counted.body);
+        assert_eq!(counted.body, post_once(oracle.addr(), "/aggregate", region_only).body);
+
+        for key in ["region_a", "region_b"] {
+            assert_eq!(fed.state_of(key), Some(BackendState::Healthy), "{key}");
+        }
+        front.shutdown();
+        oracle.shutdown();
+    }
+    bare_a.shutdown();
+    bare_b.shutdown();
+    attr_b.shutdown();
 }

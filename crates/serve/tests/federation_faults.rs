@@ -19,7 +19,12 @@
 //! * federated `POST /aggregate` answers byte-identically to an
 //!   in-process sharded server, degrades per-region behind
 //!   `X-Pipefail-Partial`, and a fully dark fleet is a typed 503 with
-//!   `Retry-After` — driven through the same fault proxy.
+//!   `Retry-After` — driven through the same fault proxy;
+//! * one degrade policy on both topologies: with a region taken out
+//!   in process (corrupt publish) and federated (black-holed wire), global
+//!   `/top` and `/aggregate` answer identically, count identically per
+//!   shard, are never cached partial, and both 503 once every region is
+//!   out.
 
 mod common;
 
@@ -28,6 +33,7 @@ use common::{get_once, post_once, Conn};
 use pipefail_core::model::{RiskRanking, RiskScore};
 use pipefail_core::snapshot::{attributes_section, Snapshot};
 use pipefail_network::ids::PipeId;
+use pipefail_par::TaskPool;
 use pipefail_serve::{
     serve, serve_federated, BackendState, FedConfig, Federation, Scorer, ServeContext,
     ServerConfig, ServerHandle, ShardSet,
@@ -57,14 +63,18 @@ fn scorer(region: &str, n: u32, base: f64) -> Scorer {
 
 /// The same regional snapshot with a deterministic attributes section in
 /// score order, so the region can answer `/aggregate` pipelines.
-fn attr_scorer(region: &str, n: u32, base: f64) -> Scorer {
+fn attr_snapshot(region: &str, n: u32, base: f64) -> Snapshot {
     let mut snap = snapshot(region, n, base);
     snap.push_section(attributes_section(
         (0..n).map(|i| 100.0 + f64::from(i)).collect(),
         (0..n).map(|i| f64::from(i % 9)).collect(),
         (0..n).map(|i| f64::from(1940 + (i % 4) * 10)).collect(),
     ));
-    Scorer::new(snap)
+    snap
+}
+
+fn attr_scorer(region: &str, n: u32, base: f64) -> Scorer {
+    Scorer::new(attr_snapshot(region, n, base))
 }
 
 /// One attribute-tagged backend serve process.
@@ -212,11 +222,15 @@ fn federated_responses_are_byte_identical_to_direct_and_in_process_serving() {
         );
     }
 
-    // Typed edges behave exactly like the in-process sharded server.
-    let unknown_fed = get_once(fed_handle.addr(), "/top?region=atlantis&k=3");
-    let unknown_oracle = get_once(oracle.addr(), "/top?region=atlantis&k=3");
-    assert_eq!(unknown_fed.status, 404);
-    assert_eq!(unknown_fed.body, unknown_oracle.body);
+    // Typed edges behave exactly like the in-process sharded server:
+    // region keys match exactly, so a non-canonical spelling of a real
+    // region is the same fleet-wide 404 as an unknown one.
+    for path in ["/top?region=atlantis&k=3", "/top?region=REGION_A&k=3"] {
+        let unknown_fed = get_once(fed_handle.addr(), path);
+        let unknown_oracle = get_once(oracle.addr(), path);
+        assert_eq!(unknown_fed.status, 404, "{path}: {}", unknown_fed.body);
+        assert_eq!(unknown_fed.body, unknown_oracle.body, "{path}");
+    }
     let ambiguous = get_once(fed_handle.addr(), "/pipe?id=3");
     assert_eq!(ambiguous.status, 400, "{}", ambiguous.body);
     assert!(ambiguous.body.contains("region"));
@@ -692,4 +706,156 @@ fn backend_healthz_probe_traffic_stays_out_of_request_metrics() {
 
     fed_handle.shutdown();
     a.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// One degrade policy: in-process shards and remote backends alike.
+// ---------------------------------------------------------------------------
+
+/// The per-shard request and unavailability series of a `/metrics`
+/// exposition.
+fn shard_counters(addr: SocketAddr) -> Vec<String> {
+    get_once(addr, "/metrics")
+        .body
+        .lines()
+        .filter(|l| {
+            l.starts_with("pipefail_shard_requests{") || l.starts_with("pipefail_shard_unavailable{")
+        })
+        .map(String::from)
+        .collect()
+}
+
+/// Take `region_b` out on both topologies — a corrupt publish under the
+/// reload watcher in process, a black-holed wire in the federation — and
+/// the fleet-scope routes answer identically: status, body, and
+/// `X-Pipefail-Partial`, with identical per-shard request counters. The
+/// partial answers are never cached (the heal brings the full bytes back
+/// at once), and with every region out both topologies answer the same
+/// typed 503 with `Retry-After`.
+#[test]
+fn in_process_and_federated_fleets_degrade_identically() {
+    let dir = std::env::temp_dir().join(format!("pipefail_fed_degrade_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = |key: &str| dir.join(format!("{key}.pfsnap"));
+    let publish = |key: &str, snap: &Snapshot| {
+        let tmp = dir.join(format!("{key}.tmp"));
+        snap.save(&tmp).expect("save snapshot");
+        std::fs::rename(&tmp, path(key)).expect("atomic rename");
+    };
+    let snap_a = attr_snapshot("Region A", 30, 1.0);
+    let snap_b = attr_snapshot("Region B", 20, 2.0);
+    publish("region_a", &snap_a);
+    publish("region_b", &snap_b);
+
+    let set = ShardSet::load_dir(&dir, &TaskPool::new(2)).expect("load shard dir");
+    let local = serve(
+        Arc::new(ServeContext::sharded(set)),
+        &ServerConfig { reload_poll_secs: 0.05, ..server_config() },
+    )
+    .expect("in-process server starts");
+    let a = attr_backend("Region A", 30, 1.0);
+    let b = attr_backend("Region B", 20, 2.0);
+    let proxy_a = FaultProxy::start(a.addr());
+    let proxy_b = FaultProxy::start(b.addr());
+    let (front, fed) = federate(
+        vec![("Region A", proxy_a.addr()), ("Region B", proxy_b.addr())],
+        fed_test_config(),
+    );
+    let give_up = Duration::from_secs(30);
+    let budget_spec = "{\"group_by\":[\"region\"],\"aggregates\":[{\"op\":\"count\"},{\"op\":\"sum\",\"field\":\"length_m\"}],\"budget\":{\"length_m\":500}}";
+    let requests: [(&str, Option<&str>); 3] = [
+        ("/top?k=12", None),
+        ("/aggregate", Some(AGG_SPEC)),
+        ("/aggregate", Some(budget_spec)),
+    ];
+    // Every request on both topologies: identical status, body, and
+    // partial flag. Returns the answers for further checks.
+    let both = |phase: &str| -> Vec<common::HttpResponse> {
+        requests
+            .iter()
+            .map(|&(path, body)| {
+                let ask = |addr| match body {
+                    None => get_once(addr, path),
+                    Some(spec) => post_once(addr, path, spec),
+                };
+                let (l, f) = (ask(local.addr()), ask(front.addr()));
+                assert_eq!(l.status, f.status, "{phase} {path}: {} vs {}", l.body, f.body);
+                assert_eq!(l.body, f.body, "{phase} {path}: bodies differ");
+                assert_eq!(
+                    l.header("x-pipefail-partial"),
+                    f.header("x-pipefail-partial"),
+                    "{phase} {path}"
+                );
+                l
+            })
+            .collect()
+    };
+    let local_state = |status: u16| get_once(local.addr(), "/healthz").status == status;
+
+    let full = both("healthy");
+    for r in &full {
+        assert_eq!(r.status, 200, "{}", r.body);
+        assert!(r.header("x-pipefail-partial").is_none());
+    }
+
+    // region_b out on both topologies.
+    std::fs::write(path("region_b"), b"PFSNAPgarbage").expect("corrupt region_b");
+    proxy_b.set_fault(Fault::Blackhole);
+    wait_for("region_b to degrade in process", give_up, || local_state(503));
+    wait_for("region_b to go down", give_up, || {
+        fed.state_of("region_b") == Some(BackendState::Down)
+    });
+    for round in 0..3 {
+        for (r, whole) in both(&format!("partial round {round}")).iter().zip(&full) {
+            assert_eq!(r.status, 200, "{}", r.body);
+            assert_eq!(r.header("x-pipefail-partial"), Some("region_b"));
+            assert_ne!(r.body, whole.body, "a partial answer kept region_b");
+        }
+    }
+    assert_eq!(shard_counters(local.addr()), shard_counters(front.addr()));
+
+    // Heal both: the full bytes come back at once — no cached partial.
+    publish("region_b", &snap_b);
+    proxy_b.set_fault(Fault::None);
+    wait_for("region_b to heal in process", give_up, || local_state(200));
+    wait_for("region_b to heal", give_up, || {
+        fed.state_of("region_b") == Some(BackendState::Healthy)
+    });
+    for (r, whole) in both("healed").iter().zip(&full) {
+        assert_eq!((r.status, &r.body), (200, &whole.body));
+        assert!(r.header("x-pipefail-partial").is_none());
+    }
+
+    // Every region out: the same typed 503 with Retry-After from both.
+    std::fs::write(path("region_a"), b"PFSNAPgarbage").expect("corrupt region_a");
+    std::fs::write(path("region_b"), b"PFSNAPgarbage").expect("corrupt region_b");
+    proxy_a.set_fault(Fault::Blackhole);
+    proxy_b.set_fault(Fault::Blackhole);
+    wait_for("both shards to degrade in process", give_up, || {
+        get_once(local.addr(), "/healthz").body.contains("[\"region_a\",\"region_b\"]")
+    });
+    wait_for("both backends to go down", give_up, || {
+        fed.state_of("region_a") == Some(BackendState::Down)
+            && fed.state_of("region_b") == Some(BackendState::Down)
+    });
+    for (path, body) in requests {
+        let ask = |addr| match body {
+            None => get_once(addr, path),
+            Some(spec) => post_once(addr, path, spec),
+        };
+        let (l, f) = (ask(local.addr()), ask(front.addr()));
+        assert_eq!(l.body, f.body, "{path}: bodies differ");
+        for r in [l, f] {
+            assert_eq!(r.status, 503, "{path}: {}", r.body);
+            assert_eq!(r.header("retry-after"), Some("1"), "{path}");
+            assert!(r.body.contains("all backends degraded"), "{}", r.body);
+        }
+    }
+    assert_eq!(shard_counters(local.addr()), shard_counters(front.addr()));
+
+    front.shutdown();
+    local.shutdown();
+    a.shutdown();
+    b.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 }
