@@ -44,6 +44,7 @@
 //! them against a snapshot that lacks them are refused with a typed
 //! error rather than answered with zeros.
 
+use crate::http::json_str;
 use crate::scorer::Scorer;
 use crate::shards::region_key;
 use pipefail_network::attributes::Material;
@@ -870,9 +871,8 @@ fn decade_of(year: i32) -> String {
 }
 
 /// Compute one scorer's partial for `spec`. The shard's group-key
-/// `region` value is its region routing key, so a single-snapshot server
-/// is indistinguishable from a one-shard set or a one-backend
-/// federation.
+/// `region` value is its region routing key, so a one-shard server is
+/// indistinguishable from a one-backend federation.
 pub(crate) fn shard_partial(
     spec: &AggregateSpec,
     scorer: &Scorer,
@@ -1079,19 +1079,6 @@ fn merge_budget(
 // Rendering — one canonical renderer for every topology.
 // ---------------------------------------------------------------------------
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Render a column value: counts as integers, everything else through
 /// Rust's shortest-round-trip f64 formatting.
 fn render_value(agg: &Aggregate, state: &GroupState) -> String {
@@ -1128,7 +1115,7 @@ pub(crate) fn render_aggregate(
             if j > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{}\":\"{}\"", name.name(), escape_json(value)));
+            out.push_str(&format!("\"{}\":{}", name.name(), json_str(value)));
         }
         out.push('}');
         for agg in &spec.aggregates {
@@ -1161,12 +1148,12 @@ pub(crate) fn render_partial(partial: &AggregatePartial) -> String {
                 out.push(',');
             }
             out.push_str(&format!(
-                "[{},{},{},{},\"{}\"]",
+                "[{},{},{},{},{}]",
                 c.score,
                 c.length_m,
                 c.material,
                 c.laid_year,
-                escape_json(&c.region)
+                json_str(&c.region)
             ));
         }
         out.push_str("]}");
@@ -1182,7 +1169,7 @@ pub(crate) fn render_partial(partial: &AggregatePartial) -> String {
             if j > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{}\"", escape_json(value)));
+            out.push_str(&json_str(value));
         }
         out.push_str(&format!(
             "],\"state\":[{},{},{},{},{},{},{}]}}",
@@ -1642,6 +1629,16 @@ mod tests {
         let back = parse_partial(&spec_budget, &wire).expect("round trip");
         assert_eq!(back, partial);
 
+        // Region keys holding a tab, a quote and a newline survive the wire
+        // in both modes.
+        let odd = scorer_with_attrs("Tab\there \"quoted\"\nline", 9, 0.5);
+        for spec in [&spec_groups, &spec_budget] {
+            let partial = shard_partial(spec, &odd).expect("partial");
+            let wire = render_partial(&partial);
+            assert!(wire.contains("tab\\there_\\\"quoted\\\"\\nline"), "{wire}");
+            assert_eq!(parse_partial(spec, &wire).expect("round trip"), partial);
+        }
+
         // Mode mismatch is refused.
         assert!(parse_partial(&spec_budget, &render_partial(&back)).is_ok());
         let groups_wire = render_partial(&shard_partial(&spec_groups, &s).unwrap());
@@ -1810,6 +1807,99 @@ mod tests {
                 .collect();
             let (groups2, b2) = merge_partials(&spec, &rewired);
             prop_assert_eq!(merged_body, render_aggregate(&spec, groups2, b2));
+        }
+
+        /// A multi-shard budget `/aggregate` equals an independent
+        /// monolithic reference: every shard's pipes concatenated in key
+        /// order, stable-sorted by descending score, selected greedily
+        /// until the first overflow, then grouped. Checked through the
+        /// front-end merge of per-shard partials, and with a contiguous
+        /// run of shards first collapsed by `merge_to_partial` and sent
+        /// over the wire — a multi-shard backend's `?partial=1` answer.
+        #[test]
+        fn budget_merge_matches_monolithic_reference(
+            tables in proptest::collection::vec(
+                proptest::collection::vec((0usize..3, 1u32..60), 0..10), 1..5),
+            budget in 0.0f64..400.0,
+            top in proptest::option::of(1usize..4),
+            run in (0usize..5, 0usize..5),
+        ) {
+            let score_of = |p: usize| [0.9f64, 0.5, 0.1][p];
+            let length_of = |l: u32| f64::from(l) * 0.75;
+            let year_of = |i: usize| 1900 + (i % 12) * 10;
+            let mut tables = tables;
+            for t in &mut tables {
+                t.sort_by(|a, b| score_of(b.0).total_cmp(&score_of(a.0)));
+            }
+            let shards: Vec<Scorer> = tables.iter().enumerate().map(|(s, t)| {
+                let ranking = RiskRanking::new(t.iter().enumerate()
+                    .map(|(i, &(p, _))| RiskScore { pipe: PipeId(i as u32), score: score_of(p) })
+                    .collect());
+                let mut snap = Snapshot::new("DPMHBP", format!("Region {s}"), 7, &ranking);
+                snap.push_section(attributes_section(
+                    t.iter().map(|&(_, l)| length_of(l)).collect(),
+                    (0..t.len()).map(|i| (i % 9) as f64).collect(),
+                    (0..t.len()).map(|i| year_of(i) as f64).collect(),
+                ));
+                Scorer::new(snap)
+            }).collect();
+            let mut spec = AggregateSpec::new()
+                .group_by(GroupKey::Region)
+                .group_by(GroupKey::Decade)
+                .aggregate(AggOp::Count, None)
+                .aggregate(AggOp::Sum, Some(AggField::LengthM))
+                .aggregate(AggOp::Max, Some(AggField::Risk))
+                .with_budget(budget);
+            if let Some(t) = top { spec = spec.with_top_groups(t); }
+
+            // The monolithic reference, sharing no merge code.
+            let mut all: Vec<(f64, f64, (String, String))> = Vec::new();
+            for (s, t) in tables.iter().enumerate() {
+                for (i, &(p, l)) in t.iter().enumerate() {
+                    let key = (format!("region_{s}"), format!("{}s", year_of(i)));
+                    all.push((score_of(p), length_of(l), key));
+                }
+            }
+            all.sort_by(|a, b| b.0.total_cmp(&a.0));
+            let (mut used, mut selected) = (0.0f64, 0u64);
+            let mut groups: std::collections::BTreeMap<(String, String), (u64, f64, f64)> =
+                std::collections::BTreeMap::new();
+            for (score, length, key) in all {
+                if used + length > budget { break; }
+                used += length;
+                selected += 1;
+                let g = groups.entry(key).or_insert((0, 0.0, f64::MIN));
+                *g = (g.0 + 1, g.1 + length, g.2.max(score));
+            }
+            let mut rows: Vec<_> = groups.into_iter().collect();
+            if let Some(n) = top {
+                rows.sort_by_key(|row| std::cmp::Reverse(row.1 .0));
+                rows.truncate(n);
+            }
+            let rows: Vec<String> = rows.iter().map(|((r, d), (n, length, max))| format!(
+                "{{\"key\":{{\"region\":\"{r}\",\"decade\":\"{d}\"}},\"count\":{n},\"sum_length_m\":{length},\"max_risk\":{max}}}"
+            )).collect();
+            let expected = format!(
+                "{{\"groups\":[{}],\"budget\":{{\"length_m\":{budget},\"selected\":{selected},\"total_length_m\":{used}}}}}",
+                rows.join(",")
+            );
+
+            let partials: Vec<AggregatePartial> = shards
+                .iter()
+                .map(|s| shard_partial(&spec, s).expect("partial"))
+                .collect();
+            let (groups, b) = merge_partials(&spec, &partials);
+            prop_assert_eq!(&render_aggregate(&spec, groups, b), &expected);
+
+            let lo = run.0 % partials.len();
+            let hi = lo + 1 + run.1 % (partials.len() - lo);
+            let collapsed = merge_to_partial(&spec, &partials[lo..hi]);
+            let wired = parse_partial(&spec, &render_partial(&collapsed)).expect("wire round trip");
+            let mut front = partials[..lo].to_vec();
+            front.push(wired);
+            front.extend_from_slice(&partials[hi..]);
+            let (groups, b) = merge_partials(&spec, &front);
+            prop_assert_eq!(render_aggregate(&spec, groups, b), expected);
         }
     }
 }

@@ -194,16 +194,6 @@ pub enum FederationError {
         /// The failure that drove it down.
         detail: String,
     },
-    /// The requested region names no configured backend.
-    UnknownRegion {
-        /// The unknown key as requested.
-        region: String,
-    },
-    /// Invalid federation configuration (bad backend spec, empty fleet).
-    BadConfig(
-        /// What was invalid.
-        String,
-    ),
 }
 
 impl FederationError {
@@ -214,8 +204,6 @@ impl FederationError {
             Self::Timeout { .. } => 504,
             Self::Connect { .. } | Self::Io { .. } | Self::TruncatedBody { .. } => 502,
             Self::BadResponse { .. } => 502,
-            Self::UnknownRegion { .. } => 404,
-            Self::BadConfig(_) => 500,
         }
     }
 }
@@ -237,8 +225,6 @@ impl fmt::Display for FederationError {
             Self::BackendDown { backend, detail } => {
                 write!(f, "backend {backend:?} down: {detail}")
             }
-            Self::UnknownRegion { region } => write!(f, "unknown region {region:?}"),
-            Self::BadConfig(detail) => write!(f, "bad federation config: {detail}"),
         }
     }
 }
@@ -1276,10 +1262,6 @@ mod tests {
         assert_eq!(
             FederationError::BadResponse { backend: b, detail: String::new() }.status(),
             502
-        );
-        assert_eq!(
-            FederationError::UnknownRegion { region: "x".into() }.status(),
-            404
         );
     }
 

@@ -30,7 +30,7 @@
 //! | `GET /model` | snapshot identity + posterior-summary inventory (sharded: the full shard inventory) |
 //! | `POST /batch` | one query per line (`[region=R ]top K` / `region=R pipe ID`), fanned over the task pool |
 //! | `POST /aggregate` | declarative group-by/aggregate pipeline (body = JSON spec, see `docs/AGGREGATE.md`) computed per-shard on the task pool and merged deterministically (same degrade policy as the global top-K); `?partial=1` answers the merge-ready partial state (the federation scatter leg) |
-//! | `GET /riskmap.svg` | Fig 18.9 risk map (single-snapshot mode with a dataset only) |
+//! | `GET /riskmap.svg` | Fig 18.9 risk map (a one-shard server with a dataset only; the shard's typed 503 while it is degraded) |
 //! | `GET /metrics` | Prometheus text exposition (sharded: per-shard `shard="R"` series) |
 //!
 //! The federation front end (`crate::federation`) serves the same route
@@ -50,7 +50,6 @@ use pipefail_network::split::TrainTestSplit;
 use pipefail_par::TaskPool;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -119,11 +118,10 @@ pub struct ServerConfig {
     /// Maximum accepted request size (head + body) in bytes.
     pub max_request_bytes: usize,
     /// Snapshot hot-reload poll interval in seconds; `0` disables the
-    /// watcher. Requires [`ServerConfig::snapshot_path`].
+    /// watcher. Requires at least one shard loaded from a file
+    /// ([`ShardSet::load_paths`] or [`ShardSet::load_dir`]): each such
+    /// shard's own file is watched.
     pub reload_poll_secs: f64,
-    /// Snapshot file watched for hot-reload (usually the file the scorer
-    /// was loaded from).
-    pub snapshot_path: Option<PathBuf>,
     /// Maximum open connections (`0` = unlimited). See
     /// [`HTTP_MAX_CONNS_ENV`].
     pub max_connections: usize,
@@ -148,7 +146,6 @@ impl Default for ServerConfig {
             keepalive_requests: 100,
             max_request_bytes: 64 * 1024,
             reload_poll_secs: 0.0,
-            snapshot_path: None,
             max_connections: 8192,
             max_inflight: 4096,
             cache: true,
@@ -183,12 +180,6 @@ impl ServerConfig {
         self
     }
 
-    /// This configuration watching `path` for snapshot hot-reload.
-    pub fn with_snapshot_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.snapshot_path = Some(path.into());
-        self
-    }
-
     pub(crate) fn resolved_workers(&self) -> usize {
         if self.workers > 0 {
             self.workers
@@ -208,7 +199,7 @@ impl ServerConfig {
 /// dataset for the risk-map route.
 #[derive(Debug)]
 pub struct ServeContext {
-    /// The served shards (a single-snapshot server is a one-shard set).
+    /// The served shards (a one-file server is a one-shard set).
     /// Requests clone a shard's `Arc<Scorer>` once and answer from that
     /// consistent view; the reload watcher replaces each shard's `Arc`
     /// whole, so in-flight requests finish on the scorer they started
@@ -219,10 +210,10 @@ pub struct ServeContext {
 }
 
 impl ServeContext {
-    /// Context serving one `scorer` (legacy single-snapshot mode),
-    /// batching over `PIPEFAIL_THREADS`.
+    /// Context serving one in-memory `scorer` as a one-shard set (no
+    /// watched file), batching over `PIPEFAIL_THREADS`.
     pub fn new(scorer: Scorer) -> Self {
-        Self::sharded(ShardSet::single(scorer))
+        Self::sharded(ShardSet::from_scorers(vec![scorer]).expect("one shard is a valid fleet"))
     }
 
     /// Context serving a whole shard set behind one endpoint, batching
@@ -237,7 +228,7 @@ impl ServeContext {
 
     /// This context with the dataset the model was fitted on, enabling
     /// `GET /riskmap.svg` (the Fig 18.9 renderer of `pipefail-eval` over
-    /// the served ranking; single-snapshot mode only).
+    /// the served ranking; one-shard servers only).
     pub fn with_dataset(mut self, dataset: Dataset) -> Self {
         self.dataset = Some(dataset);
         self
@@ -254,20 +245,12 @@ impl ServeContext {
         &self.shards
     }
 
-    /// The currently active scoring engine of the *first* shard — the
-    /// single-snapshot accessor (a one-shard set is exactly the legacy
-    /// server). The returned `Arc` is a stable view: it keeps answering
-    /// consistently even if a hot-reload swaps the shard's scorer
-    /// mid-request.
+    /// The last good scorer of the *first* shard (see
+    /// [`crate::Shard::last_good`]) — the one-shard accessor. The returned
+    /// `Arc` is a stable view: it keeps answering consistently even if a
+    /// hot-reload swaps the shard's scorer mid-request.
     pub fn scorer(&self) -> Arc<Scorer> {
         self.shards.shards()[0].last_good()
-    }
-
-    /// Atomically replace the first shard's active scorer (the
-    /// single-snapshot hot-reload swap), returning the new shared handle.
-    /// Never blocks readers for longer than one pointer store.
-    pub fn swap_scorer(&self, scorer: Scorer) -> Arc<Scorer> {
-        self.shards.shards()[0].swap(scorer)
     }
 }
 
@@ -374,20 +357,18 @@ pub(crate) fn retry_after_secs(reload_poll_secs: f64) -> u64 {
 /// snapshot-reload watcher, and return immediately.
 pub fn serve(ctx: Arc<ServeContext>, config: &ServerConfig) -> Result<ServerHandle, ServeError> {
     let any_shard_path = ctx.shards().shards().iter().any(|s| s.path().is_some());
-    if config.reload_poll_secs > 0.0 && config.snapshot_path.is_none() && !any_shard_path {
+    if config.reload_poll_secs > 0.0 && !any_shard_path {
         return Err(ServeError::BadConfig(
-            "reload_poll_secs set but no snapshot_path to watch".into(),
+            "reload_poll_secs set but no shard was loaded from a snapshot file to watch".into(),
         ));
     }
     let poll = config.reload_poll_secs;
-    let snapshot_path = config.snapshot_path.clone();
     let retry_after = retry_after_secs(poll);
     serve_topology(Arc::clone(&ctx), retry_after, config, move |shutdown, metrics| {
         if poll > 0.0 {
             vec![reload::spawn_watcher(
                 ctx,
                 Arc::clone(metrics),
-                snapshot_path,
                 Duration::from_secs_f64(poll),
                 Arc::clone(shutdown),
             )]
@@ -766,8 +747,9 @@ impl Topology for ServeContext {
     }
 
     fn model(&self) -> Response {
-        // One shard: the legacy body, byte-identical to the single-snapshot
-        // server (pinned by the end-to-end tests).
+        // One shard: the scorer's own body (its last good identity while
+        // degraded, like the sharded inventory), pinned by the end-to-end
+        // tests.
         if self.shards().is_single() {
             return Response::json(200, render_model(&self.scorer()));
         }
@@ -908,7 +890,11 @@ impl Topology for ServeContext {
         }
         match &self.dataset {
             Some(dataset) => {
-                let ranking = self.scorer().ranking();
+                let scorer = match self.shards().shards()[0].serving_or_503() {
+                    Ok(scorer) => scorer,
+                    Err(refusal) => return refusal,
+                };
+                let ranking = scorer.ranking();
                 let svg = pipefail_eval::riskmap::risk_map(
                     dataset,
                     &ranking,
@@ -1154,7 +1140,7 @@ mod tests {
     }
 
     #[test]
-    fn swap_scorer_changes_answers_and_keeps_old_arcs_valid() {
+    fn shard_swap_changes_answers_and_keeps_old_arcs_valid() {
         let ctx = ServeContext::new(test_scorer());
         let before = ctx.scorer();
         let replacement = Scorer::new(Snapshot::new(
@@ -1163,7 +1149,7 @@ mod tests {
             9,
             &RiskRanking::new(vec![RiskScore { pipe: PipeId(99), score: 0.5 }]),
         ));
-        let after = ctx.swap_scorer(replacement);
+        let after = ctx.shards().shards()[0].swap(replacement);
         // The old handle still answers from the old table (in-flight
         // requests are undisturbed)…
         assert_eq!(before.model(), "DPMHBP");
@@ -1517,9 +1503,15 @@ mod tests {
 
     #[test]
     fn config_rejects_reload_without_path() {
-        let ctx = Arc::new(ServeContext::new(test_scorer()));
+        // In-memory shards have no file to watch, at any fleet size.
         let bad = ServerConfig { reload_poll_secs: 0.5, ..ServerConfig::default() };
-        assert!(matches!(serve(Arc::clone(&ctx), &bad), Err(ServeError::BadConfig(_))));
+        for ctx in [ServeContext::new(test_scorer()), sharded_ctx()] {
+            match serve(Arc::new(ctx), &bad) {
+                Err(ServeError::BadConfig(m)) => assert!(m.contains("no shard"), "{m}"),
+                other => panic!("expected a typed no-shard-path error, got {other:?}"),
+            }
+        }
+        let ctx = Arc::new(ServeContext::new(test_scorer()));
         let bad_idle = ServerConfig { idle_timeout_secs: 0.0, ..ServerConfig::default() };
         assert!(matches!(serve(ctx, &bad_idle), Err(ServeError::BadConfig(_))));
     }

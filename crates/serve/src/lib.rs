@@ -49,14 +49,13 @@
 //! * [`shards`] — shard-by-region serving, i.e. local federation: a
 //!   [`ShardSet`] is a fleet of in-process shards, loading one snapshot
 //!   per region **in parallel on the `TaskPool`** and serving them behind
-//!   one endpoint.
+//!   one endpoint. A one-file server is simply a one-shard set.
 //! * [`reload`] — snapshot hot-reload: an mtime-polling watcher with a
 //!   per-shard `(mtime, len, inode)` stamp that atomically swaps each
 //!   shard's scorer behind an `Arc` so a re-fitted model goes live with
 //!   zero downtime. A corrupt replacement is rejected by the strict
-//!   loader; in single-snapshot mode the old model keeps serving, in
-//!   sharded mode only that shard goes dark (its region a typed 503) until
-//!   a valid snapshot heals it.
+//!   loader and only that shard goes dark (its region a typed 503) until
+//!   a valid snapshot heals it — one policy at every fleet size.
 //! * [`aggregate`] — the declarative `POST /aggregate` analytics engine:
 //!   a typed JSON pipeline spec (group by `region`/`material`/`decade`;
 //!   `count`/`sum`/`avg`/`min`/`max` over risk and pipe length; optional
@@ -104,7 +103,7 @@ pub use parser::{ParseError, ParseOutcome, ParsedRequest};
 pub use scorer::{
     AttributesView, PipeRisk, Query, QueryResult, RiskSlice, RiskSliceIter, SectionInfo, Scorer,
 };
-pub use shards::{merge_top_k, region_key, GlobalRisk, ReloadPolicy, Shard, ShardSet};
+pub use shards::{merge_top_k, region_key, GlobalRisk, Shard, ShardSet};
 
 use pipefail_core::snapshot::SnapshotError;
 

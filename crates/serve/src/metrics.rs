@@ -702,7 +702,7 @@ mod tests {
         assert_eq!(m.shard_unavailable_total(0), 1);
         assert_eq!(m.global_topk_total(), 1);
         // Per-shard reload outcomes also count in the aggregates the
-        // single-snapshot dashboards already scrape.
+        // one-file dashboards already scrape.
         assert_eq!(m.reloads_total(), 2); // 1 for shard 1 + 1 out-of-range
         assert_eq!(m.reload_failures_total(), 1);
         let text = m.render();

@@ -18,17 +18,13 @@
 //!
 //! A corrupt or truncated replacement is rejected with a typed error,
 //! logged, and counted in `pipefail_reload_failures_total` (and the
-//! shard's own `pipefail_shard_reload_failures` series). What happens next
-//! depends on the shard set's [`ReloadPolicy`]:
-//!
-//! * [`ReloadPolicy::KeepLastGood`] (single-snapshot mode): the previous
-//!   scorer keeps serving every request, invisibly to clients.
-//! * [`ReloadPolicy::Degrade`] (sharded mode): *that shard only* goes
-//!   dark until a valid snapshot lands — its region answers a typed `503`
-//!   and fleet-wide answers go partial (`crate::fleet`). A region
-//!   silently pinned to last week's model while its siblings move on is
-//!   the invisible failure mode sharded serving refuses. The shard heals
-//!   on the next valid swap.
+//! shard's own `pipefail_shard_reload_failures` series), and *that shard
+//! only* goes dark until a valid snapshot lands: its region answers a
+//! typed `503` and fleet-wide answers go partial (`crate::fleet`). The
+//! shard keeps its last good scorer for `/model` and diagnostics, and
+//! heals on the next valid swap. This holds at every fleet size: a
+//! one-file server is a one-shard set, so a botched publish is as visible
+//! there as in a fleet.
 //!
 //! ## Replace snapshots by atomic rename
 //!
@@ -54,15 +50,11 @@
 //! one).
 //!
 //! [`ServerConfig::reload_poll_secs`]: crate::http::ServerConfig
-//! [`ReloadPolicy`]: crate::shards::ReloadPolicy
-//! [`ReloadPolicy::KeepLastGood`]: crate::shards::ReloadPolicy::KeepLastGood
-//! [`ReloadPolicy::Degrade`]: crate::shards::ReloadPolicy::Degrade
 
 use crate::http::ServeContext;
 use crate::metrics::Metrics;
 use crate::scorer::Scorer;
-use crate::shards::ReloadPolicy;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -95,51 +87,31 @@ pub(crate) fn sleep_interruptible(total: Duration, shutdown: &AtomicBool) {
     }
 }
 
-/// Spawn the watcher thread over every watched shard path. Each shard's
-/// own snapshot path is watched; `override_path` (the legacy
-/// `ServerConfig::snapshot_path`) stands in for the *first* shard when it
-/// has none — exactly the single-snapshot configuration. Joined by
-/// `ServerHandle::shutdown` via the shared shutdown flag.
+/// Spawn the watcher thread over every shard that was loaded from a file
+/// (a shard built in-process has no path and is never reloaded). Joined
+/// by `ServerHandle::shutdown` via the shared shutdown flag.
 pub(crate) fn spawn_watcher(
     ctx: Arc<ServeContext>,
     metrics: Arc<Metrics>,
-    override_path: Option<PathBuf>,
     poll: Duration,
     shutdown: Arc<AtomicBool>,
 ) -> JoinHandle<()> {
     std::thread::spawn(move || {
-        // The effective watch list, parallel to the shard set: a shard
-        // without a path (built in-process) is simply never reloaded.
-        let paths: Vec<Option<PathBuf>> = ctx
-            .shards()
-            .shards()
-            .iter()
-            .enumerate()
-            .map(|(i, shard)| {
-                shard
-                    .path()
-                    .map(Path::to_path_buf)
-                    .or_else(|| if i == 0 { override_path.clone() } else { None })
-            })
-            .collect();
-        let mut last: Vec<Option<(SystemTime, u64, u64)>> = paths
-            .iter()
-            .map(|p| p.as_deref().and_then(stamp))
-            .collect();
-        let policy = ctx.shards().policy();
+        let shards = ctx.shards().shards();
+        let mut last: Vec<Option<(SystemTime, u64, u64)>> =
+            shards.iter().map(|s| s.path().and_then(stamp)).collect();
         while !shutdown.load(Ordering::SeqCst) {
             sleep_interruptible(poll, &shutdown);
             if shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            for (idx, path) in paths.iter().enumerate() {
-                let Some(path) = path.as_deref() else { continue };
+            for (idx, shard) in shards.iter().enumerate() {
+                let Some(path) = shard.path() else { continue };
                 let current = stamp(path);
                 if current.is_none() || current == last[idx] {
                     continue;
                 }
                 last[idx] = current;
-                let shard = &ctx.shards().shards()[idx];
                 // Strict load first, swap only on success: requests racing
                 // this reload either hold the old Arc or pick up the new
                 // one whole.
@@ -156,20 +128,12 @@ pub(crate) fn spawn_watcher(
                     }
                     Err(e) => {
                         metrics.shard_reload_failed(idx);
-                        match policy {
-                            ReloadPolicy::KeepLastGood => eprintln!(
-                                "pipefail-serve: rejected snapshot {}: {e}; keeping previous scorer",
-                                path.display()
-                            ),
-                            ReloadPolicy::Degrade => {
-                                shard.degrade(e.to_string());
-                                eprintln!(
-                                    "pipefail-serve: rejected snapshot {}: {e}; shard {:?} degraded until a valid snapshot lands",
-                                    path.display(),
-                                    shard.key()
-                                );
-                            }
-                        }
+                        shard.degrade(e.to_string());
+                        eprintln!(
+                            "pipefail-serve: rejected snapshot {}: {e}; shard {:?} degraded until a valid snapshot lands",
+                            path.display(),
+                            shard.key()
+                        );
                     }
                 }
             }

@@ -17,30 +17,20 @@
 //!   path in input order, at any thread count).
 //! * **Region-tagged queries** (`/top?region=R`, `/pipe?region=R&id=N`,
 //!   `region=R`-prefixed `/batch` lines) route to one shard with zero
-//!   cross-shard work — exactly the single-snapshot fast path.
+//!   cross-shard work — exactly the one-shard fast path.
 //! * **Region-less `/top`** becomes a scatter-gather **global top-K**: each
 //!   shard contributes its own (already sorted) top-K slice and
 //!   [`merge_top_k`] k-way-merges them, so the global ranking costs
 //!   O(shards · k) — the union of all shards is never materialised or
 //!   re-sorted.
 //! * **Hot-reload is per-shard**: one region's refresh never blocks or
-//!   invalidates the others. Under [`ReloadPolicy::Degrade`] (the sharded
-//!   default) a corrupt replacement marks *only that shard* dark until a
-//!   valid snapshot lands: its region answers a typed 503, global answers
-//!   go partial, and every other region keeps serving.
-//!   [`ReloadPolicy::KeepLastGood`] preserves the legacy single-snapshot
-//!   behaviour of serving the previous model.
-//!
-//! ## Why the two reload policies differ
-//!
-//! A single-snapshot server has exactly one model: serving the last good
-//! one through a botched publish beats serving nothing, so rejection is
-//! silent-but-counted. In a sharded deployment the region's ranking is one
-//! of many sibling artefacts refreshed together; a region silently pinned
-//! to last week's model while its siblings move on is the *invisible*
-//! failure mode, so the sharded default is to fail loudly — a typed 503
-//! for that region only — until the publish is fixed. The shard heals the
-//! moment a valid snapshot replaces the corrupt one.
+//!   invalidates the others. A corrupt replacement marks *only that shard*
+//!   dark until a valid snapshot lands: its region answers a typed 503,
+//!   global answers go partial, and every other region keeps serving. A
+//!   one-file server is a one-shard set and degrades the same way: a
+//!   region silently pinned to last week's model is the invisible failure
+//!   mode, whatever the fleet size. The shard heals the moment a valid
+//!   snapshot replaces the corrupt one.
 
 use crate::aggregate::{self, AggregatePartial, AggregateSpec};
 use crate::fleet::{Ask, Backend, Fleet, Miss, TopTable};
@@ -56,19 +46,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-/// What a shard serves after its snapshot is replaced with a corrupt file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReloadPolicy {
-    /// Keep answering from the last good scorer (legacy single-snapshot
-    /// behaviour): a bad publish is rejected, counted, and retried on the
-    /// next file change, invisibly to clients.
-    KeepLastGood,
-    /// Mark the shard unavailable: queries for that region answer a typed
-    /// `503` until a valid snapshot lands, while every other shard keeps
-    /// serving (the sharded default — see the module docs for why).
-    Degrade,
-}
-
 /// The canonical routing key for a region name: lowercase with spaces
 /// replaced by underscores — the same convention `pipefail generate` uses
 /// for dataset directory names, so `"Region A"` is addressed as
@@ -80,8 +57,8 @@ pub fn region_key(region: &str) -> String {
 
 /// A shard's swap cell: the active scorer plus an optional fault. The
 /// scorer is always the *last good* model (so recovery and diagnostics
-/// never lose it); `fault` is `Some` only under [`ReloadPolicy::Degrade`]
-/// after a corrupt replacement, and makes the shard answer 503.
+/// never lose it); `fault` is `Some` after a corrupt replacement, and
+/// makes the shard answer 503.
 #[derive(Debug)]
 struct ShardState {
     scorer: Arc<Scorer>,
@@ -93,7 +70,6 @@ struct ShardState {
 pub struct Shard {
     key: String,
     path: Option<PathBuf>,
-    policy: ReloadPolicy,
     state: RwLock<ShardState>,
     /// Monotonic generation of this shard's observable state. Starts at 1
     /// and is bumped by every [`Shard::swap`] *and* every
@@ -105,11 +81,10 @@ pub struct Shard {
 }
 
 impl Shard {
-    fn new(scorer: Scorer, path: Option<PathBuf>, policy: ReloadPolicy) -> Self {
+    fn new(scorer: Scorer, path: Option<PathBuf>) -> Self {
         Self {
             key: region_key(scorer.region()),
             path,
-            policy,
             state: RwLock::new(ShardState {
                 scorer: Arc::new(scorer),
                 fault: None,
@@ -130,8 +105,7 @@ impl Shard {
     }
 
     /// The active scorer if the shard is serving, or the degradation
-    /// reason if a corrupt hot-swap took it out
-    /// ([`ReloadPolicy::Degrade`] only).
+    /// reason if a corrupt hot-swap took it out.
     pub fn serving(&self) -> Result<Arc<Scorer>, String> {
         let state = self.state.read().unwrap_or_else(|p| p.into_inner());
         match &state.fault {
@@ -188,8 +162,8 @@ impl Shard {
         fresh
     }
 
-    /// Mark the shard unavailable ([`ReloadPolicy::Degrade`] after a
-    /// corrupt replacement). The last good scorer is retained for
+    /// Mark the shard unavailable after a corrupt replacement. The last
+    /// good scorer is retained for
     /// diagnostics but no longer served. Bumps the epoch: cached bodies
     /// from the healthy state must not outlive the degradation.
     pub(crate) fn degrade(&self, reason: String) {
@@ -221,21 +195,11 @@ pub struct GlobalRisk {
 pub type ShardSet = Fleet<Shard>;
 
 impl ShardSet {
-    /// A one-shard set with legacy single-snapshot semantics
-    /// ([`ReloadPolicy::KeepLastGood`]).
-    pub fn single(scorer: Scorer) -> Self {
-        Self::assemble_shards(vec![(scorer, None)], ReloadPolicy::KeepLastGood)
-            .expect("one shard is a valid fleet")
-    }
-
     /// Build a sharded set from already-loaded scorers (no watched paths).
     /// Fails on an empty list or on two scorers mapping to the same
     /// region key.
     pub fn from_scorers(scorers: Vec<Scorer>) -> Result<Self, ServeError> {
-        Self::assemble_shards(
-            scorers.into_iter().map(|s| (s, None)).collect(),
-            ReloadPolicy::Degrade,
-        )
+        Self::assemble_shards(scorers.into_iter().map(|s| (s, None)).collect())
     }
 
     /// Load and strict-validate one snapshot per path, **in parallel** on
@@ -260,7 +224,7 @@ impl ShardSet {
                 }
             }
         }
-        Self::assemble_shards(shards, ReloadPolicy::Degrade)
+        Self::assemble_shards(shards)
     }
 
     /// Load every `*.pfsnap` file in `dir` (sorted by file name for a
@@ -281,24 +245,16 @@ impl ShardSet {
         Self::load_paths(&paths, pool)
     }
 
-    fn assemble_shards(
-        scorers: Vec<(Scorer, Option<PathBuf>)>,
-        policy: ReloadPolicy,
-    ) -> Result<Self, ServeError> {
+    fn assemble_shards(scorers: Vec<(Scorer, Option<PathBuf>)>) -> Result<Self, ServeError> {
         Fleet::assemble(
             scorers
                 .into_iter()
                 .map(|(scorer, path)| {
-                    let shard = Shard::new(scorer, path, policy);
+                    let shard = Shard::new(scorer, path);
                     (shard.key.clone(), shard)
                 })
                 .collect(),
         )
-    }
-
-    /// What a corrupt hot-swap does to a shard.
-    pub fn policy(&self) -> ReloadPolicy {
-        self.shards()[0].policy
     }
 
     /// The shards, sorted by routing key.
@@ -315,8 +271,8 @@ impl ShardSet {
         self.epoch()
     }
 
-    /// Routing keys of shards currently refusing requests (Degrade policy
-    /// after a failed reload), in shard order. Empty when fully healthy —
+    /// Routing keys of shards currently refusing requests (after a failed
+    /// reload), in shard order. Empty when fully healthy —
     /// the `/healthz` answer is derived from this.
     pub fn degraded_keys(&self) -> Vec<String> {
         self.shards()
@@ -489,7 +445,6 @@ mod tests {
         assert_eq!(set.index_of("region_z"), None);
         assert_eq!(set.get("region_c").unwrap().last_good().region(), "Region C");
         assert!(!set.is_single());
-        assert_eq!(set.policy(), ReloadPolicy::Degrade);
     }
 
     #[test]
@@ -515,36 +470,35 @@ mod tests {
     }
 
     #[test]
-    fn single_uses_keep_last_good_policy() {
-        let set = ShardSet::single(scorer("Region A", &[(0, 1.0)]));
-        assert!(set.is_single());
-        assert_eq!(set.policy(), ReloadPolicy::KeepLastGood);
-        assert_eq!(set.keys().collect::<Vec<_>>(), ["region_a"]);
-    }
-
-    #[test]
     fn degrade_then_heal_round_trips() {
-        let set = ShardSet::from_scorers(vec![
+        // A one-file server is a one-shard set: it degrades and heals
+        // exactly like a shard of a larger fleet.
+        let one = ShardSet::from_scorers(vec![scorer("A", &[(0, 1.0)])]).expect("one shard");
+        assert!(one.is_single());
+        let two = ShardSet::from_scorers(vec![
             scorer("A", &[(0, 1.0)]),
             scorer("B", &[(0, 2.0)]),
         ])
         .expect("set");
-        let a = set.get("a").unwrap();
-        assert!(a.serving().is_ok());
-        a.degrade("checksum mismatch".into());
-        assert_eq!(a.serving().expect_err("degraded"), "checksum mismatch");
-        assert_eq!(a.fault().as_deref(), Some("checksum mismatch"));
-        // The last good scorer is retained while degraded.
-        assert_eq!(a.last_good().region(), "A");
-        // Global top-K refuses a partial fleet, naming the degraded shard.
-        assert_eq!(set.global_top_k(3).expect_err("degraded"), vec!["a".to_string()]);
-        // The sibling shard is untouched.
-        assert!(set.get("b").unwrap().serving().is_ok());
-        // A valid swap heals the shard.
-        a.swap(scorer("A", &[(5, 9.0)]));
-        assert!(a.serving().is_ok());
-        assert_eq!(a.fault(), None);
-        assert_eq!(set.global_top_k(1).expect("healed")[0].risk.pipe, PipeId(5));
+        for set in [one, two] {
+            let a = set.get("a").unwrap();
+            assert!(a.serving().is_ok());
+            a.degrade("checksum mismatch".into());
+            assert_eq!(a.serving().expect_err("degraded"), "checksum mismatch");
+            assert_eq!(a.fault().as_deref(), Some("checksum mismatch"));
+            assert_eq!(set.degraded_keys(), ["a"]);
+            // The last good scorer is retained while degraded.
+            assert_eq!(a.last_good().region(), "A");
+            // Global top-K refuses a partial fleet, naming the degraded shard.
+            assert_eq!(set.global_top_k(3).expect_err("degraded"), vec!["a".to_string()]);
+            // Any sibling shard is untouched.
+            assert!(set.shards().iter().skip(1).all(|s| s.serving().is_ok()));
+            // A valid swap heals the shard.
+            a.swap(scorer("A", &[(5, 9.0)]));
+            assert!(a.serving().is_ok());
+            assert_eq!(a.fault(), None);
+            assert_eq!(set.global_top_k(1).expect("healed")[0].risk.pipe, PipeId(5));
+        }
     }
 
     #[test]

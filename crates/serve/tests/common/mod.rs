@@ -13,9 +13,21 @@
 pub mod faultproxy;
 pub mod snapgen;
 
+use pipefail_par::TaskPool;
+use pipefail_serve::{ServeContext, ShardSet};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::path::Path;
+use std::sync::Arc;
 use std::time::Duration;
+
+/// The context `pipefail serve --snapshot FILE` builds: a one-shard set
+/// loaded by path, so its shard watches that file for hot-reload.
+pub fn one_file_context(path: &Path) -> Arc<ServeContext> {
+    let shards =
+        ShardSet::load_paths(&[path.to_path_buf()], &TaskPool::serial()).expect("snapshot loads");
+    Arc::new(ServeContext::sharded(shards))
+}
 
 /// A fully parsed response: status line, headers, exact-framed body.
 #[derive(Debug, Clone)]

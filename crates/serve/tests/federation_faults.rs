@@ -24,12 +24,13 @@
 //!   in process (corrupt publish) and federated (black-holed wire), global
 //!   `/top` and `/aggregate` answer identically, count identically per
 //!   shard, are never cached partial, and both 503 once every region is
-//!   out.
+//!   out; and a corrupt publish under a one-file backend degrades its
+//!   region exactly like the same publish under an in-process shard.
 
 mod common;
 
 use common::faultproxy::{Fault, FaultProxy};
-use common::{get_once, post_once, Conn};
+use common::{get_once, one_file_context, post_once, Conn};
 use pipefail_core::model::{RiskRanking, RiskScore};
 use pipefail_core::snapshot::{attributes_section, Snapshot};
 use pipefail_network::ids::PipeId;
@@ -40,6 +41,7 @@ use pipefail_serve::{
 };
 use proptest::prelude::*;
 use std::net::SocketAddr;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -555,6 +557,8 @@ fn hedged_duplicate_beats_a_stalled_primary() {
 
 const AGG_SPEC: &str = "{\"group_by\":[\"material\",\"decade\"],\"aggregates\":[{\"op\":\"count\"},{\"op\":\"sum\",\"field\":\"length_m\"},{\"op\":\"avg\",\"field\":\"risk\"}]}";
 
+const BUDGET_SPEC: &str = "{\"group_by\":[\"region\"],\"aggregates\":[{\"op\":\"count\"},{\"op\":\"sum\",\"field\":\"length_m\"}],\"budget\":{\"length_m\":500}}";
+
 #[test]
 fn federated_aggregate_is_byte_identical_and_degrades_per_region() {
     let a = attr_backend("Region A", 30, 1.0);
@@ -583,9 +587,8 @@ fn federated_aggregate_is_byte_identical_and_degrades_per_region() {
     // Healthy fleet: the scatter-gathered merge of wire partials is
     // byte-identical to ONE in-process sharded server — for plain
     // grouping, top_groups, and the greedy budget operator alike.
-    let budget_spec = "{\"group_by\":[\"region\"],\"aggregates\":[{\"op\":\"count\"},{\"op\":\"sum\",\"field\":\"length_m\"}],\"budget\":{\"length_m\":500}}";
     let top_spec = "{\"group_by\":[\"material\"],\"aggregates\":[{\"op\":\"max\",\"field\":\"risk\"}],\"top_groups\":3}";
-    for spec in [AGG_SPEC, budget_spec, top_spec] {
+    for spec in [AGG_SPEC, BUDGET_SPEC, top_spec] {
         let via_fed = post_once(fed_handle.addr(), "/aggregate", spec);
         let in_process = post_once(oracle_abc.addr(), "/aggregate", spec);
         assert_eq!(via_fed.status, 200, "{spec}: {}", via_fed.body);
@@ -725,6 +728,32 @@ fn shard_counters(addr: SocketAddr) -> Vec<String> {
         .collect()
 }
 
+/// Ask every request of both topologies: status, body, `X-Pipefail-Partial`
+/// and `Retry-After` must match. Returns the in-process answers.
+fn ask_both(
+    local: SocketAddr,
+    front: SocketAddr,
+    requests: &[(&str, Option<&str>)],
+    phase: &str,
+) -> Vec<common::HttpResponse> {
+    requests
+        .iter()
+        .map(|&(path, body)| {
+            let ask = |addr| match body {
+                None => get_once(addr, path),
+                Some(spec) => post_once(addr, path, spec),
+            };
+            let (l, f) = (ask(local), ask(front));
+            assert_eq!(l.status, f.status, "{phase} {path}: {} vs {}", l.body, f.body);
+            assert_eq!(l.body, f.body, "{phase} {path}: bodies differ");
+            for header in ["x-pipefail-partial", "retry-after"] {
+                assert_eq!(l.header(header), f.header(header), "{phase} {path}: {header}");
+            }
+            l
+        })
+        .collect()
+}
+
 /// Take `region_b` out on both topologies — a corrupt publish under the
 /// reload watcher in process, a black-holed wire in the federation — and
 /// the fleet-scope routes answer identically: status, body, and
@@ -762,34 +791,12 @@ fn in_process_and_federated_fleets_degrade_identically() {
         fed_test_config(),
     );
     let give_up = Duration::from_secs(30);
-    let budget_spec = "{\"group_by\":[\"region\"],\"aggregates\":[{\"op\":\"count\"},{\"op\":\"sum\",\"field\":\"length_m\"}],\"budget\":{\"length_m\":500}}";
     let requests: [(&str, Option<&str>); 3] = [
         ("/top?k=12", None),
         ("/aggregate", Some(AGG_SPEC)),
-        ("/aggregate", Some(budget_spec)),
+        ("/aggregate", Some(BUDGET_SPEC)),
     ];
-    // Every request on both topologies: identical status, body, and
-    // partial flag. Returns the answers for further checks.
-    let both = |phase: &str| -> Vec<common::HttpResponse> {
-        requests
-            .iter()
-            .map(|&(path, body)| {
-                let ask = |addr| match body {
-                    None => get_once(addr, path),
-                    Some(spec) => post_once(addr, path, spec),
-                };
-                let (l, f) = (ask(local.addr()), ask(front.addr()));
-                assert_eq!(l.status, f.status, "{phase} {path}: {} vs {}", l.body, f.body);
-                assert_eq!(l.body, f.body, "{phase} {path}: bodies differ");
-                assert_eq!(
-                    l.header("x-pipefail-partial"),
-                    f.header("x-pipefail-partial"),
-                    "{phase} {path}"
-                );
-                l
-            })
-            .collect()
-    };
+    let both = |phase: &str| ask_both(local.addr(), front.addr(), &requests, phase);
     let local_state = |status: u16| get_once(local.addr(), "/healthz").status == status;
 
     let full = both("healthy");
@@ -838,18 +845,10 @@ fn in_process_and_federated_fleets_degrade_identically() {
         fed.state_of("region_a") == Some(BackendState::Down)
             && fed.state_of("region_b") == Some(BackendState::Down)
     });
-    for (path, body) in requests {
-        let ask = |addr| match body {
-            None => get_once(addr, path),
-            Some(spec) => post_once(addr, path, spec),
-        };
-        let (l, f) = (ask(local.addr()), ask(front.addr()));
-        assert_eq!(l.body, f.body, "{path}: bodies differ");
-        for r in [l, f] {
-            assert_eq!(r.status, 503, "{path}: {}", r.body);
-            assert_eq!(r.header("retry-after"), Some("1"), "{path}");
-            assert!(r.body.contains("all backends degraded"), "{}", r.body);
-        }
+    for r in both("all out") {
+        assert_eq!(r.status, 503, "{}", r.body);
+        assert_eq!(r.header("retry-after"), Some("1"));
+        assert!(r.body.contains("all backends degraded"), "{}", r.body);
     }
     assert_eq!(shard_counters(local.addr()), shard_counters(front.addr()));
 
@@ -858,4 +857,99 @@ fn in_process_and_federated_fleets_degrade_identically() {
     a.shutdown();
     b.shutdown();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The corrupt-publish counterpart of the test above, with every process
+/// built the way `pipefail serve` builds it: the in-process fleet loads a
+/// snapshot directory, and each backend is a one-file server (a one-shard
+/// set loaded by path) with reload armed. A truncated file renamed over
+/// region_b's backend snapshot and over the fleet's region_b file takes
+/// the region dark on both topologies alike — identical status, body, and
+/// `X-Pipefail-Partial` for global `/top`, the region-routed `/top`, and
+/// both `/aggregate` specs — and a valid re-publish brings the full bytes
+/// back on both.
+#[test]
+fn corrupt_publish_degrades_one_file_backends_like_in_process_shards() {
+    let root = std::env::temp_dir().join(format!("pipefail_fed_publish_{}", std::process::id()));
+    let (fleet_dir, backend_dir) = (root.join("fleet"), root.join("backends"));
+    for dir in [&fleet_dir, &backend_dir] {
+        std::fs::create_dir_all(dir).expect("temp dir");
+    }
+    let publish = |path: &Path, bytes: &[u8]| {
+        let tmp = path.with_extension("tmp");
+        std::fs::write(&tmp, bytes).expect("write snapshot");
+        std::fs::rename(&tmp, path).expect("atomic rename");
+    };
+    let reload = ServerConfig { reload_poll_secs: 0.05, ..server_config() };
+    let mut backends = Vec::new();
+    let mut files = Vec::new();
+    let regions = [("region_a", "Region A", 30, 1.0), ("region_b", "Region B", 20, 2.0)];
+    for (key, region, n, base) in regions {
+        let bytes = attr_snapshot(region, n, base).to_bytes_v2();
+        let path = backend_dir.join(format!("{key}.pfsnap"));
+        publish(&fleet_dir.join(format!("{key}.pfsnap")), &bytes);
+        publish(&path, &bytes);
+        backends.push(serve(one_file_context(&path), &reload).expect("backend starts"));
+        files.push(bytes);
+    }
+    let set = ShardSet::load_dir(&fleet_dir, &TaskPool::new(2)).expect("load shard dir");
+    let local = serve(Arc::new(ServeContext::sharded(set)), &reload).expect("fleet starts");
+    let (front, _fed) = federate(
+        vec![("Region A", backends[0].addr()), ("Region B", backends[1].addr())],
+        fed_test_config(),
+    );
+    let give_up = Duration::from_secs(30);
+    let requests: [(&str, Option<&str>); 4] = [
+        ("/top?k=12", None),
+        ("/top?region=region_b&k=5", None),
+        ("/aggregate", Some(AGG_SPEC)),
+        ("/aggregate", Some(BUDGET_SPEC)),
+    ];
+    let partial_on =
+        |addr| get_once(addr, "/top?k=12").header("x-pipefail-partial").map(String::from);
+
+    let full = ask_both(local.addr(), front.addr(), &requests, "healthy");
+    for r in &full {
+        assert_eq!(r.status, 200, "{}", r.body);
+        assert!(r.header("x-pipefail-partial").is_none());
+    }
+
+    // A truncated region_b published under both topologies.
+    let truncated = &files[1][..files[1].len() / 2];
+    publish(&fleet_dir.join("region_b.pfsnap"), truncated);
+    publish(&backend_dir.join("region_b.pfsnap"), truncated);
+    for (what, addr) in [("in process", local.addr()), ("federated", front.addr())] {
+        wait_for(&format!("region_b to go dark {what}"), give_up, || {
+            partial_on(addr).as_deref() == Some("region_b")
+        });
+    }
+    for round in 0..3 {
+        let phase = format!("dark round {round}");
+        let answers = ask_both(local.addr(), front.addr(), &requests, &phase);
+        let routed = &answers[1];
+        assert_eq!(routed.status, 503, "{}", routed.body);
+        assert!(routed.body.contains("\"shard\":\"region_b\""), "{}", routed.body);
+        for r in answers.iter().take(1).chain(&answers[2..]) {
+            assert_eq!(r.status, 200, "{}", r.body);
+            assert_eq!(r.header("x-pipefail-partial"), Some("region_b"));
+        }
+    }
+
+    // A valid re-publish heals both: the full bytes come back.
+    publish(&fleet_dir.join("region_b.pfsnap"), &files[1]);
+    publish(&backend_dir.join("region_b.pfsnap"), &files[1]);
+    for (what, addr) in [("in process", local.addr()), ("federated", front.addr())] {
+        wait_for(&format!("region_b to heal {what}"), give_up, || partial_on(addr).is_none());
+    }
+    for (r, whole) in ask_both(local.addr(), front.addr(), &requests, "healed").iter().zip(&full) {
+        assert_eq!((r.status, &r.body), (200, &whole.body));
+        assert!(r.header("x-pipefail-partial").is_none());
+    }
+
+    front.shutdown();
+    local.shutdown();
+    for backend in backends {
+        backend.shutdown();
+    }
+    std::fs::remove_dir_all(&root).ok();
 }

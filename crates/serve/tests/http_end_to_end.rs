@@ -17,11 +17,13 @@ use pipefail_core::model::FailureModel;
 use pipefail_core::snapshot::Snapshot;
 use pipefail_network::split::TrainTestSplit;
 use pipefail_serve::http::{render_model, render_top_k};
-use pipefail_serve::{serve, Metrics, ServeContext, ServerConfig, Scorer};
+use pipefail_par::TaskPool;
+use pipefail_serve::{serve, Metrics, ServeContext, ServerConfig, Scorer, ShardSet};
 use pipefail_synth::WorldConfig;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Strict GET returning the pieces the assertions below use.
 fn get(addr: SocketAddr, path: &str) -> (u16, String) {
@@ -57,8 +59,12 @@ fn fit_snapshot_serve_query_roundtrip() {
     let reference_model = render_model(&scorer);
     let top_pipe = scorer.top_k(1).at(0).pipe;
 
-    let ctx = Arc::new(ServeContext::new(scorer).with_dataset(ds));
-    let config = ServerConfig::default();
+    // Served the way `pipefail serve --snapshot FILE --data DIR` serves it:
+    // a one-shard set loaded by path, with hot-reload armed.
+    let shards =
+        ShardSet::load_paths(std::slice::from_ref(&path), &TaskPool::serial()).expect("load shard");
+    let ctx = Arc::new(ServeContext::sharded(shards).with_dataset(ds));
+    let config = ServerConfig { reload_poll_secs: 0.05, ..ServerConfig::default() };
     let handle = serve(Arc::clone(&ctx), &config).expect("server starts");
     let addr = handle.addr();
 
@@ -136,6 +142,21 @@ fn fit_snapshot_serve_query_roundtrip() {
     );
     let served: u64 = handle.metrics().total();
     assert!(served >= 10, "all requests observed: {served}");
+
+    // A corrupt publish takes the one shard dark: the risk map answers the
+    // shard's typed 503 instead of rendering the stale ranking, while
+    // /model keeps reporting the last good identity.
+    std::fs::write(&path, b"PFSNAPgarbage").expect("corrupt snapshot");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while get(addr, "/healthz").0 != 503 {
+        assert!(Instant::now() < deadline, "corrupt publish never degraded the shard");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let riskmap = get_once(addr, "/riskmap.svg");
+    assert_eq!(riskmap.status, 503, "{}", riskmap.body);
+    assert_eq!(riskmap.header("retry-after"), Some("1"));
+    assert!(riskmap.body.contains("\"shard\":\"region_a\""), "{}", riskmap.body);
+    assert_eq!(get(addr, "/model"), (200, reference_model));
 
     // Graceful shutdown: joins all threads; the port stops answering.
     handle.shutdown();

@@ -8,11 +8,12 @@
 //!   a capped connection is closed at the request cap;
 //! * a snapshot swap on disk changes the served ranking with zero failed
 //!   requests for a client polling mid-stream, while a corrupt replacement
-//!   is rejected and the old scorer keeps serving.
+//!   is rejected and degrades the one-file server (typed 503, last good
+//!   identity still on `/model`) until a valid publish heals it.
 
 mod common;
 
-use common::{get_once, get_request, Conn};
+use common::{get_once, get_request, one_file_context, Conn};
 use pipefail_core::model::{RiskRanking, RiskScore};
 use pipefail_core::snapshot::Snapshot;
 use pipefail_network::ids::PipeId;
@@ -171,13 +172,8 @@ fn hot_reload_swaps_ranking_mid_stream_with_zero_failed_requests() {
     let reference_b = render_top_k(&Scorer::new(snapshot_b.clone()), 5);
     assert_ne!(reference_a, reference_b, "the swap must be observable");
 
-    let scorer_a = Scorer::load(&path).expect("load snapshot");
-    let config = ServerConfig {
-        reload_poll_secs: 0.05,
-        snapshot_path: Some(path.clone()),
-        ..ServerConfig::default()
-    };
-    let handle = serve(Arc::new(ServeContext::new(scorer_a)), &config).expect("server starts");
+    let config = ServerConfig { reload_poll_secs: 0.05, ..ServerConfig::default() };
+    let handle = serve(one_file_context(&path), &config).expect("server starts");
     let addr = handle.addr();
 
     // A chatty client polling /top on ONE keep-alive connection while the
@@ -220,38 +216,41 @@ fn hot_reload_swaps_ranking_mid_stream_with_zero_failed_requests() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A one-file server degrades on a corrupt publish exactly like a shard of
+/// a fleet: typed 503s with `Retry-After`, `/healthz` 503, the failure
+/// counted, and the last good identity still on `/model` — then a valid
+/// publish heals it with the new bytes.
 #[test]
-fn corrupt_replacement_is_rejected_and_the_old_scorer_keeps_serving() {
+fn corrupt_replacement_degrades_until_a_valid_publish_heals() {
     let path = temp_path("corrupt_reload.pfsnap");
     snapshot(25, 1.0, 0).save(&path).expect("save initial snapshot");
     let reference = render_top_k(&Scorer::load(&path).expect("load"), 5);
 
-    let config = ServerConfig {
-        reload_poll_secs: 0.05,
-        snapshot_path: Some(path.clone()),
-        ..ServerConfig::default()
-    };
-    let handle = serve(
-        Arc::new(ServeContext::new(Scorer::load(&path).expect("load"))),
-        &config,
-    )
-    .expect("server starts");
+    let config = ServerConfig { reload_poll_secs: 0.05, ..ServerConfig::default() };
+    let handle = serve(one_file_context(&path), &config).expect("server starts");
     let addr = handle.addr();
     assert_eq!(get_once(addr, "/top?k=5").body, reference);
+    let model = get_once(addr, "/model").body;
 
     // Clobber the snapshot with garbage the strict loader must reject.
     std::fs::write(&path, b"PFSNAPgarbage-that-is-not-a-snapshot").expect("corrupt file");
 
-    // The watcher notices, rejects, and counts the failure…
+    // The watcher notices, rejects, counts the failure, and takes the
+    // shard dark.
     let deadline = Instant::now() + Duration::from_secs(10);
     let metrics = handle.metrics();
-    while metrics.reload_failures_total() == 0 {
-        assert!(Instant::now() < deadline, "reload failure never recorded");
+    while metrics.reload_failures_total() == 0 || get_once(addr, "/healthz").status != 503 {
+        assert!(Instant::now() < deadline, "reload failure never degraded the shard");
         std::thread::sleep(Duration::from_millis(10));
     }
-    // …without disrupting serving: the old ranking still answers,
-    // byte-identically, and no successful reload was counted.
-    assert_eq!(get_once(addr, "/top?k=5").body, reference);
+    let top = get_once(addr, "/top?k=5");
+    assert_eq!(top.status, 503, "{}", top.body);
+    assert_eq!(top.header("retry-after"), Some("1"));
+    assert!(top.body.contains("\"shard\":\"region_a\""), "{}", top.body);
+    let healthz = get_once(addr, "/healthz");
+    assert_eq!(healthz.body, "{\"status\":\"degraded\",\"shards\":[\"region_a\"]}");
+    // The retained last good scorer still answers /model byte-identically.
+    assert_eq!(get_once(addr, "/model").body, model);
     assert_eq!(metrics.reloads_total(), 0);
 
     // The rejection is visible to scrapes (the non-atomic corrupting write
@@ -264,8 +263,8 @@ fn corrupt_replacement_is_rejected_and_the_old_scorer_keeps_serving() {
         .unwrap_or_else(|| panic!("counter missing from exposition: {exposition}"));
     assert!(failures >= 1, "{exposition}");
 
-    // A subsequent *valid* replacement still goes live: rejection does not
-    // wedge the watcher.
+    // A subsequent *valid* publish heals the server with the new bytes:
+    // rejection does not wedge the watcher.
     let recovery = snapshot(25, 5.0, 1);
     let reference_recovery = render_top_k(&Scorer::new(recovery.clone()), 5);
     recovery.save(&path).expect("save recovery snapshot");
@@ -274,7 +273,10 @@ fn corrupt_replacement_is_rejected_and_the_old_scorer_keeps_serving() {
         assert!(Instant::now() < deadline, "recovery reload never happened");
         std::thread::sleep(Duration::from_millis(10));
     }
-    assert_eq!(get_once(addr, "/top?k=5").body, reference_recovery);
+    let top = get_once(addr, "/top?k=5");
+    assert_eq!((top.status, top.body), (200, reference_recovery));
+    assert_eq!(get_once(addr, "/healthz").status, 200);
+    assert!(get_once(addr, "/model").body.contains("\"seed\":1"));
     handle.shutdown();
     std::fs::remove_file(&path).ok();
 }

@@ -12,18 +12,18 @@
 //!   specific typed error: misaligned section offsets, overlapping
 //!   sections, unsorted score columns, unsorted index columns, invalid
 //!   attribute values;
-//! * a corrupt v2 replacement under the hot-reload watcher is rejected
-//!   while the old **mapped** scorer keeps serving byte-identically, and a
-//!   valid v2 replacement afterwards still swaps in (the mmap extension of
-//!   the reload degrade battery).
+//! * a corrupt v2 replacement under the hot-reload watcher is rejected and
+//!   degrades the server while the old **mapped** scorer is retained
+//!   byte-identically, and a valid v2 replacement afterwards heals it (the
+//!   mmap extension of the reload degrade battery).
 
 mod common;
 
 use common::snapgen::{save_to_temp, ARB_SNAPSHOT};
-use common::{get_once, Conn};
+use common::{get_once, one_file_context, Conn};
 use pipefail_core::snapshot::{v2, Snapshot, SnapshotError, SnapshotFormat, HEADER_LEN};
 use pipefail_serve::http::render_top_k;
-use pipefail_serve::{serve, Scorer, ServeContext, ServerConfig};
+use pipefail_serve::{serve, Scorer, ServerConfig};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -256,31 +256,26 @@ fn invalid_attribute_value_is_typed() {
 }
 
 /// The reload degrade battery, extended to the mmap path: a corrupt v2
-/// replacement is rejected by the watcher while the old **mapped** scorer
-/// keeps serving byte-identically; a valid v2 replacement afterwards still
-/// swaps in.
+/// replacement is rejected by the watcher and degrades the server, while
+/// the old **mapped** scorer is retained byte-identically; a valid v2
+/// replacement afterwards heals it.
 #[test]
-fn corrupt_v2_replacement_keeps_the_mapped_scorer_serving() {
+fn corrupt_v2_replacement_degrades_and_retains_the_mapped_scorer() {
     let snap = attributed_snapshot(30, 1.0, 3);
     let path = save_to_temp(&snap, "reload_v2", SnapshotFormat::V2);
-    let scorer = Scorer::load(&path).expect("v2 load");
-    assert_eq!(scorer.mapped(), cfg!(unix));
-    let reference = render_top_k(&scorer, 5);
+    let ctx = one_file_context(&path);
+    let shard = Arc::clone(&ctx.shards().shards()[0]);
+    assert_eq!(shard.last_good().mapped(), cfg!(unix));
+    let reference = render_top_k(&shard.last_good(), 5);
 
-    let config = ServerConfig {
-        reload_poll_secs: 0.05,
-        snapshot_path: Some(path.clone()),
-        ..ServerConfig::default()
-    };
-    let handle = serve(Arc::new(ServeContext::new(scorer)), &config).expect("server starts");
+    let config = ServerConfig { reload_poll_secs: 0.05, ..ServerConfig::default() };
+    let handle = serve(ctx, &config).expect("server starts");
     let addr = handle.addr();
     assert_eq!(get_once(addr, "/top?k=5").body, reference);
+    let model = get_once(addr, "/model").body;
     // The serving loader really is the zero-copy one.
     if cfg!(unix) {
-        assert!(
-            get_once(addr, "/model").body.contains("\"loader\":\"mmap\""),
-            "/model must report the mmap loader"
-        );
+        assert!(model.contains("\"loader\":\"mmap\""), "/model must report the mmap loader");
     }
 
     // Replace with a *bit-flipped* v2 file (valid header prefix, corrupt
@@ -294,22 +289,27 @@ fn corrupt_v2_replacement_keeps_the_mapped_scorer_serving() {
 
     let metrics = handle.metrics();
     let deadline = Instant::now() + Duration::from_secs(10);
-    while metrics.reload_failures_total() == 0 {
-        assert!(Instant::now() < deadline, "reload failure never recorded");
+    while metrics.reload_failures_total() == 0 || shard.fault().is_none() {
+        assert!(Instant::now() < deadline, "reload failure never degraded the shard");
         std::thread::sleep(Duration::from_millis(10));
     }
-    // The old mapping keeps answering, byte-identically, on a keep-alive
-    // connection opened *after* the corruption landed.
+    // Degraded, on a keep-alive connection opened *after* the corruption
+    // landed: typed 503s with Retry-After, readiness down…
     let mut conn = Conn::connect(addr);
-    for _ in 0..5 {
+    for _ in 0..3 {
         let response = conn.get("/top?k=5");
-        assert_eq!(response.status, 200);
-        assert_eq!(response.body, reference);
+        assert_eq!(response.status, 503, "{}", response.body);
+        assert_eq!(response.header("retry-after"), Some("1"));
     }
+    assert_eq!(conn.get("/healthz").status, 503);
+    // …while the retained mapping still reads byte-identically.
+    assert_eq!(conn.get("/model").body, model);
+    assert_eq!(shard.last_good().mapped(), cfg!(unix));
+    assert_eq!(render_top_k(&shard.last_good(), 5), reference);
     assert_eq!(metrics.reloads_total(), 0);
 
-    // A valid v2 replacement still heals: rejection does not wedge the
-    // watcher or leak the rejected candidate's state.
+    // A valid v2 replacement heals: rejection does not wedge the watcher
+    // or leak the rejected candidate's state.
     let recovery = attributed_snapshot(30, 9.0, 4);
     let reference_recovery = render_top_k(&Scorer::new(recovery.clone()), 5);
     assert_ne!(reference, reference_recovery, "the recovery must be observable");
@@ -321,7 +321,9 @@ fn corrupt_v2_replacement_keeps_the_mapped_scorer_serving() {
         assert!(Instant::now() < deadline, "recovery reload never happened");
         std::thread::sleep(Duration::from_millis(10));
     }
-    assert_eq!(conn.get("/top?k=5").body, reference_recovery);
+    let healed = conn.get("/top?k=5");
+    assert_eq!((healed.status, healed.body), (200, reference_recovery));
+    assert_eq!(conn.get("/healthz").status, 200);
     handle.shutdown();
     std::fs::remove_file(&path).ok();
 }

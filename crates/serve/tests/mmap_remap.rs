@@ -8,12 +8,12 @@
 
 mod common;
 
-use common::Conn;
+use common::{one_file_context, Conn};
 use pipefail_core::model::{RiskRanking, RiskScore};
 use pipefail_core::snapshot::{Snapshot, SnapshotFormat};
 use pipefail_network::ids::PipeId;
 use pipefail_serve::http::render_top_k;
-use pipefail_serve::{serve, Scorer, ServeContext, ServerConfig};
+use pipefail_serve::{serve, Scorer, ServerConfig};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -65,18 +65,16 @@ fn remap_under_load_loses_zero_requests() {
     let snap_b = snapshot(400, 9.0, 1); // different scores AND pipe order
     publish(&snap_a, &path);
 
-    let scorer = Scorer::load(&path).expect("v2 load");
+    let ctx = one_file_context(&path);
+    let scorer = ctx.scorer();
     assert!(scorer.mapped());
     let reference_a = render_top_k(&scorer, 12);
+    drop(scorer); // only the shard may hold the old mapping
     let reference_b = render_top_k(&Scorer::new(snap_b.clone()), 12);
     assert_ne!(reference_a, reference_b, "the swap must be observable");
 
-    let config = ServerConfig {
-        reload_poll_secs: 0.05,
-        snapshot_path: Some(path.clone()),
-        ..ServerConfig::default()
-    };
-    let handle = serve(Arc::new(ServeContext::new(scorer)), &config).expect("server starts");
+    let config = ServerConfig { reload_poll_secs: 0.05, ..ServerConfig::default() };
+    let handle = serve(ctx, &config).expect("server starts");
     let addr = handle.addr();
 
     let saw_old = Arc::new(AtomicBool::new(false));

@@ -13,6 +13,7 @@
 //! hot-reload watcher is how a nightly re-fit goes live with zero downtime
 //! (see docs/SERVING.md).
 
+use pipefail::par::TaskPool;
 use pipefail::prelude::*;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -81,12 +82,13 @@ fn main() {
     snap.save(&path).expect("save snapshot");
     println!("snapshot: {} bytes -> {}", snap.to_bytes().len(), path.display());
 
-    // 3. Serve: load the snapshot into a scorer, bind an ephemeral port,
-    //    and arm the hot-reload watcher on the snapshot file.
-    let scorer = Scorer::load(&path).expect("load snapshot");
-    let ctx = Arc::new(ServeContext::new(scorer).with_dataset(region.clone()));
-    let config = ServerConfig::default().with_snapshot_path(&path);
-    let config = ServerConfig { reload_poll_secs: 0.1, ..config };
+    // 3. Serve: load the snapshot file as a one-shard set (the shard
+    //    watches the file it was loaded from), bind an ephemeral port, and
+    //    arm the hot-reload watcher.
+    let shards =
+        ShardSet::load_paths(std::slice::from_ref(&path), &TaskPool::serial()).expect("load snapshot");
+    let ctx = Arc::new(ServeContext::sharded(shards).with_dataset(region.clone()));
+    let config = ServerConfig { reload_poll_secs: 0.1, ..ServerConfig::default() };
     let handle = pipefail::serve::serve(ctx, &config).expect("start server");
     let addr = handle.addr();
     println!("serving on http://{addr} (hot-reload polling every {}s)", config.reload_poll_secs);

@@ -72,14 +72,16 @@ USAGE:
       Serve snapshots over HTTP with keep-alive connections: /health /top
       /pipe /model /batch /aggregate /metrics (and /riskmap.svg when --data
       is given with a single snapshot). POST /aggregate runs a declarative
-      group-by/aggregate pipeline over the fleet (docs/AGGREGATE.md). One --snapshot is the classic single-region
-      server; repeated --snapshot flags or --snapshot-dir (every *.pfsnap
-      in DIR) serve one shard per region behind one endpoint: /top?region=R
-      routes to one shard, region-less /top scatter-gathers the global
-      top-K. Honors PIPEFAIL_HTTP_WORKERS, PIPEFAIL_HTTP_TIMEOUT_SECS,
-      PIPEFAIL_HTTP_IDLE_SECS, PIPEFAIL_HTTP_KEEPALIVE_REQS, and
-      PIPEFAIL_HTTP_RELOAD_SECS (N > 0 polls every watched snapshot file
-      every N seconds and hot-swaps shards independently); see
+      group-by/aggregate pipeline over the fleet (docs/AGGREGATE.md). Every
+      --snapshot FILE (or every *.pfsnap in --snapshot-dir DIR) is one
+      shard, keyed by region, behind one endpoint; one file is a one-shard
+      server. /top?region=R routes to one shard, region-less /top
+      scatter-gathers the global top-K. Honors PIPEFAIL_HTTP_WORKERS,
+      PIPEFAIL_HTTP_TIMEOUT_SECS, PIPEFAIL_HTTP_IDLE_SECS,
+      PIPEFAIL_HTTP_KEEPALIVE_REQS, and PIPEFAIL_HTTP_RELOAD_SECS (N > 0
+      polls every snapshot file every N seconds and hot-swaps shards
+      independently; a corrupt replacement degrades only its shard to a
+      typed 503 until a valid file lands); see
       docs/SERVING.md. Serving runs on a Linux epoll event loop, with
       admission knobs PIPEFAIL_HTTP_MAX_CONNS (open-connection cap, idle
       keep-alive connections are shed first, 0 = unlimited) and
@@ -317,36 +319,26 @@ fn cmd_serve(options: &Options) -> Result<(), String> {
         return cmd_serve_federated(options, backends);
     }
     let snapshots: &[String] = options.get("snapshot").map_or(&[], Vec::as_slice);
-    let dir = opt(options, "snapshot-dir");
     let pool = pipefail::par::TaskPool::from_env();
-    // Three shapes: --snapshot-dir DIR (one shard per *.pfsnap), repeated
-    // --snapshot (one shard each), or a single --snapshot (the classic
-    // single-region server). Snapshots load and strict-validate in
-    // parallel on the task pool either way.
-    let ctx = match (dir, snapshots) {
+    // --snapshot-dir DIR (one shard per *.pfsnap) or one shard per
+    // --snapshot FILE; one file is simply a one-shard set. Snapshots load
+    // and strict-validate in parallel on the task pool either way.
+    let shards = match (opt(options, "snapshot-dir"), snapshots) {
         (Some(_), [_, ..]) => {
             return Err("pass either --snapshot-dir or --snapshot, not both".into());
         }
-        (Some(dir), []) => ServeContext::sharded(
-            ShardSet::load_dir(Path::new(dir), &pool).map_err(|e| e.to_string())?,
-        ),
+        (Some(dir), []) => ShardSet::load_dir(Path::new(dir), &pool),
         (None, []) => {
             return Err(
                 "missing --snapshot FILE or --snapshot-dir DIR (written by `pipefail snapshot`)"
                     .into(),
             );
         }
-        (None, [path]) => {
-            let scorer =
-                Scorer::load(Path::new(path)).map_err(|e| format!("loading {path}: {e}"))?;
-            ServeContext::new(scorer)
-        }
-        (None, many) => {
-            let paths: Vec<PathBuf> = many.iter().map(PathBuf::from).collect();
-            ServeContext::sharded(ShardSet::load_paths(&paths, &pool).map_err(|e| e.to_string())?)
+        (None, paths) => {
+            ShardSet::load_paths(&paths.iter().map(PathBuf::from).collect::<Vec<_>>(), &pool)
         }
     };
-    let mut ctx = ctx;
+    let mut ctx = ServeContext::sharded(shards.map_err(|e| e.to_string())?);
     for shard in ctx.shards().shards() {
         let s = shard.last_good();
         println!(
@@ -370,27 +362,16 @@ fn cmd_serve(options: &Options) -> Result<(), String> {
         // Optional geometry: enables the /riskmap.svg endpoint.
         ctx = ctx.with_dataset(load(options)?);
     }
-    // Wire the snapshot files into the config so PIPEFAIL_HTTP_RELOAD_SECS
-    // can arm the hot-reload watcher on the same files we just loaded:
-    // sharded sets carry their own per-shard paths, single-snapshot mode
-    // watches the one file.
+    // Every shard watches the file it was loaded from, so
+    // PIPEFAIL_HTTP_RELOAD_SECS arms the hot-reload watcher on them all.
     let mut config = ServerConfig::from_env();
-    if let (true, [path]) = (ctx.shards().is_single(), snapshots) {
-        config = config.with_snapshot_path(Path::new(path));
-    }
     if let Some(addr) = opt(options, "addr") {
         config = config.with_addr(addr);
     }
     if config.reload_poll_secs > 0.0 {
-        let watched = ctx
-            .shards()
-            .shards()
-            .iter()
-            .filter(|s| s.path().is_some())
-            .count()
-            .max(usize::from(config.snapshot_path.is_some()));
         println!(
-            "hot-reload armed: polling {watched} snapshot file(s) every {}s",
+            "hot-reload armed: polling {} snapshot file(s) every {}s",
+            ctx.shards().len(),
             config.reload_poll_secs
         );
     }
