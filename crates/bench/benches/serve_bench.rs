@@ -36,6 +36,11 @@
 //! byte-identical bodies (pinned by the e2e battery); the deltas are pure
 //! fan-out and wire cost.
 //!
+//! The `aggregate/kernel/{100k,1M,budget_100k}` entries time the same
+//! pipeline's compute kernel in process, with no socket or task pool in
+//! the loop (see [`bench_aggregate_kernel`]), so the `serve/aggregate/*`
+//! end-to-end numbers split into kernel and serving overhead.
+//!
 //! The `scorer/risk_of_100k` entry times in-process `/pipe` point lookups
 //! against the 100k-pipe table — the binary-searched id→rank index built
 //! at snapshot load.
@@ -58,7 +63,8 @@ use pipefail_core::model::{RiskRanking, RiskScore};
 use pipefail_core::snapshot::{attributes_section, Snapshot};
 use pipefail_network::ids::PipeId;
 use pipefail_serve::{
-    serve, serve_federated, FedConfig, Federation, Scorer, ServeContext, ServerConfig, ShardSet,
+    aggregate, serve, serve_federated, AggregateSpec, FedConfig, Federation, Scorer, ServeContext,
+    ServerConfig, ShardSet,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -541,6 +547,40 @@ fn bench_aggregate(c: &mut Criterion) {
     }
 }
 
+/// The `/aggregate` compute kernel without sockets or the task pool:
+/// `aggregate::execute` (per-shard partials, merge, render) over in-memory
+/// scorers. `kernel/{100k,1M}` run the material × decade scan over one
+/// table; `kernel/budget_100k` runs the per-shard budget walk and the
+/// global greedy over the 8-shard split of the same 100k pipes, with a
+/// budget of 5% of the network length.
+fn bench_aggregate_kernel(c: &mut Criterion) {
+    const SPEC: &str = "{\"group_by\":[\"material\",\"decade\"],\"aggregates\":[{\"op\":\"count\"},{\"op\":\"sum\",\"field\":\"length_m\"},{\"op\":\"avg\",\"field\":\"risk\"}]}";
+    let scan = AggregateSpec::parse(SPEC).expect("valid spec");
+    let per_shard = TOTAL_PIPES / SHARDS;
+    let shards: Vec<Scorer> = (0..SHARDS).map(|s| shard_scorer(s, per_shard)).collect();
+    let network_m: f64 = shards
+        .iter()
+        .map(|s| {
+            let attrs = s.attributes().expect("bench shards carry attributes");
+            (0..attrs.len()).map(|i| attrs.length_m(i)).sum::<f64>()
+        })
+        .sum();
+    let budget = scan.clone().with_budget(0.05 * network_m);
+
+    let mut g = c.benchmark_group("aggregate");
+    g.sample_size(20);
+    for (label, n) in [("100k", TOTAL_PIPES), ("1M", 1_000_000)] {
+        let table = [scorer(n)];
+        g.bench_function(format!("kernel/{label}"), |b| {
+            b.iter(|| black_box(aggregate::execute(&scan, &table).expect("kernel").len()))
+        });
+    }
+    g.bench_function("kernel/budget_100k", |b| {
+        b.iter(|| black_box(aggregate::execute(&budget, &shards).expect("kernel").len()))
+    });
+    g.finish();
+}
+
 /// The epoch-keyed result cache on the same 100k-pipe operating point the
 /// `serve/aggregate/*` entries measure: a cached hit (pooled-buffer
 /// replay of the rendered body) vs the uncached full-table scan, plus the
@@ -669,6 +709,7 @@ criterion_group!(
     bench_sharded,
     bench_federated,
     bench_aggregate,
+    bench_aggregate_kernel,
     bench_cache,
     bench_scorer_lookup
 );

@@ -48,7 +48,8 @@ use crate::http::json_str;
 use crate::scorer::Scorer;
 use crate::shards::region_key;
 use pipefail_network::attributes::Material;
-use std::collections::HashMap;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// Maximum JSON nesting depth the spec parser accepts — a pipeline spec
@@ -781,6 +782,22 @@ pub(crate) struct GroupState {
 }
 
 impl GroupState {
+    /// A group no pipe has reached yet: `count == 0` and every moment at
+    /// its IEEE identity (`-0.0` for sums, `±∞` for min/max), so adding
+    /// the first pipe gives exactly the bits of [`GroupState::one`] — a
+    /// group of `-0.0` lengths still sums to `-0.0`. Scores and lengths
+    /// are never NaN (snapshots and wire partials refuse them).
+    const EMPTY: Self = Self {
+        count: 0,
+        sum_risk: -0.0,
+        min_risk: f64::INFINITY,
+        max_risk: f64::NEG_INFINITY,
+        sum_len: -0.0,
+        min_len: f64::INFINITY,
+        max_len: f64::NEG_INFINITY,
+    };
+
+    #[cfg(test)]
     fn one(risk: f64, len: f64) -> Self {
         Self {
             count: 1,
@@ -834,14 +851,15 @@ impl GroupState {
 }
 
 /// One budget candidate: everything the global greedy needs to select,
-/// group, and aggregate a pipe without its home shard.
-#[derive(Debug, Clone, PartialEq)]
+/// group, and aggregate a pipe without its home shard. `region` indexes
+/// the owning partial's region table, so a candidate never owns a string.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Candidate {
     score: f64,
     length_m: f64,
     material: u8,
     laid_year: i32,
-    region: String,
+    region: u32,
 }
 
 /// One shard's (or backend's) contribution to an aggregation: either
@@ -851,6 +869,9 @@ pub(crate) struct Candidate {
 pub(crate) struct AggregatePartial {
     /// `(key values, state)` sorted by key values; empty in budget mode.
     groups: Vec<(Vec<String>, GroupState)>,
+    /// Budget mode only: the region keys the candidates' `region` fields
+    /// index.
+    regions: Vec<String>,
     /// Budget mode only: the shard's maximal descending-risk prefix whose
     /// cumulative length fits the budget, plus one sentinel entry (the
     /// first overflowing pipe — it can never be selected, but its
@@ -866,8 +887,187 @@ pub(crate) struct BudgetSummary {
     total_length_m: f64,
 }
 
-fn decade_of(year: i32) -> String {
-    format!("{}s", year.div_euclid(10) * 10)
+/// A group's identity as integers: a region (index into a region table),
+/// a material (index into `Material::ALL`) and a decade
+/// (`year.div_euclid(10)`). Dimensions the spec does not group by are 0.
+/// Key strings are built from a code only for non-empty output groups.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct GroupCode {
+    region: u32,
+    material: u8,
+    decade: i32,
+}
+
+/// Which dimensions a spec groups by.
+#[derive(Debug, Clone, Copy)]
+struct Dims {
+    region: bool,
+    material: bool,
+    decade: bool,
+}
+
+impl Dims {
+    fn of(spec: &AggregateSpec) -> Self {
+        let has = |key| spec.group_by.contains(&key);
+        Self {
+            region: has(GroupKey::Region),
+            material: has(GroupKey::Material),
+            decade: has(GroupKey::Decade),
+        }
+    }
+
+    fn code(self, region: u32, material: u8, year: i32) -> GroupCode {
+        GroupCode {
+            region: if self.region { region } else { 0 },
+            material: if self.material { material } else { 0 },
+            decade: if self.decade { year.div_euclid(10) } else { 0 },
+        }
+    }
+}
+
+/// Most slots a dense accumulator allocates (regions × materials × decade
+/// span). Realistic fleets need a few hundred; a wider code space — a
+/// hostile year range such as `i32::MIN..i32::MAX` — interns its sorted
+/// distinct codes instead, so memory stays bounded by the pipe count.
+const DENSE_SLOTS: u64 = 4096;
+
+/// How a [`GroupCode`] maps to an accumulator slot.
+enum Layout {
+    /// `((region × materials) + material) × span + (decade − min_decade)`.
+    Dense { materials: usize, min_decade: i32, span: usize },
+    /// The slot is the code's position in the sorted distinct codes.
+    Interned(Vec<GroupCode>),
+}
+
+/// Flat per-group accumulators indexed by integer code: adding a pipe is
+/// a slot computation and seven arithmetic updates, with no allocation.
+struct Accumulator {
+    layout: Layout,
+    states: Vec<GroupState>,
+}
+
+impl Accumulator {
+    /// An accumulator for codes with `region < regions`, `material <
+    /// materials`, and the decades of the years in `years` (inclusive;
+    /// `None` when every code's decade is 0). Dense when that space fits
+    /// [`DENSE_SLOTS`]; otherwise `codes()` is walked once to intern the
+    /// sorted distinct codes.
+    fn new<I: Iterator<Item = GroupCode>>(
+        regions: usize,
+        materials: usize,
+        years: Option<(i32, i32)>,
+        codes: impl FnOnce() -> I,
+    ) -> Self {
+        let (lo, hi) = years.map_or((0, 0), |(lo, hi)| (lo.div_euclid(10), hi.div_euclid(10)));
+        let span = (i64::from(hi) - i64::from(lo) + 1) as u64;
+        let dense = (regions as u64)
+            .checked_mul(materials as u64)
+            .and_then(|slots| slots.checked_mul(span))
+            .filter(|&slots| slots <= DENSE_SLOTS);
+        let (layout, len) = match dense {
+            Some(slots) => {
+                (Layout::Dense { materials, min_decade: lo, span: span as usize }, slots as usize)
+            }
+            None => {
+                let mut distinct: Vec<GroupCode> = codes().collect();
+                distinct.sort_unstable();
+                distinct.dedup();
+                let len = distinct.len();
+                (Layout::Interned(distinct), len)
+            }
+        };
+        Self { layout, states: vec![GroupState::EMPTY; len] }
+    }
+
+    /// Fold one pipe into its group. Callers add pipes in rank (or
+    /// selection) order, which pins each group's f64 addition order; from
+    /// [`GroupState::EMPTY`] the first pipe gives a fresh group's bits.
+    fn add(&mut self, code: GroupCode, risk: f64, len: f64) {
+        let slot = self.slot(code);
+        self.states[slot].add(risk, len);
+    }
+
+    /// [`Accumulator::add`] for a whole table in rank order: pipe `i` has
+    /// `code(i)`, `scores[i]`, and `length(i)`. A single group keeps its
+    /// state in registers; otherwise every slot is computed first, so the
+    /// slot arithmetic stays off the accumulation's dependency chains.
+    fn add_ranked(
+        &mut self,
+        code: impl Fn(usize) -> GroupCode,
+        scores: &[f64],
+        length: impl Fn(usize) -> f64,
+    ) {
+        if let [only] = self.states.as_mut_slice() {
+            for (i, &score) in scores.iter().enumerate() {
+                only.add(score, length(i));
+            }
+            return;
+        }
+        let slots: Vec<u32> = (0..scores.len()).map(|i| self.slot(code(i)) as u32).collect();
+        for (i, (&score, &slot)) in scores.iter().zip(&slots).enumerate() {
+            self.states[slot as usize].add(score, length(i));
+        }
+    }
+
+    /// The accumulator slot of `code`.
+    fn slot(&self, code: GroupCode) -> usize {
+        match &self.layout {
+            Layout::Dense { materials, min_decade, span } => {
+                (code.region as usize * materials + usize::from(code.material)) * span
+                    + (i64::from(code.decade) - i64::from(*min_decade)) as usize
+            }
+            Layout::Interned(distinct) => distinct
+                .binary_search(&code)
+                .expect("every added code was interned"),
+        }
+    }
+
+    /// The non-empty groups with their key strings, sorted by key.
+    fn into_rows(
+        self,
+        spec: &AggregateSpec,
+        regions: &[&str],
+    ) -> Vec<(Vec<String>, GroupState)> {
+        let Self { layout, states } = self;
+        let mut rows: Vec<(Vec<String>, GroupState)> = states
+            .into_iter()
+            .enumerate()
+            .filter(|(_, state)| state.count > 0)
+            .map(|(slot, state)| {
+                let code = match &layout {
+                    Layout::Dense { materials, min_decade, span } => GroupCode {
+                        region: (slot / (materials * span)) as u32,
+                        material: (slot / span % materials) as u8,
+                        decade: (i64::from(*min_decade) + (slot % span) as i64) as i32,
+                    },
+                    Layout::Interned(distinct) => distinct[slot],
+                };
+                (group_key(spec, code, regions), state)
+            })
+            .collect();
+        rows.sort_by(|a, b| a.0.cmp(&b.0));
+        rows
+    }
+}
+
+/// The smallest and largest of `years`, if any.
+fn year_range(years: impl Iterator<Item = i32>) -> Option<(i32, i32)> {
+    years.fold(None, |range, y| {
+        Some(range.map_or((y, y), |(lo, hi): (i32, i32)| (lo.min(y), hi.max(y))))
+    })
+}
+
+/// The key strings of one group, in `group_by` order.
+fn group_key(spec: &AggregateSpec, code: GroupCode, regions: &[&str]) -> Vec<String> {
+    spec.group_by
+        .iter()
+        .map(|k| match k {
+            GroupKey::Region => regions[code.region as usize].to_string(),
+            GroupKey::Material => Material::ALL[usize::from(code.material)].code().to_string(),
+            // Widened so the decade of `i32::MIN` renders without overflow.
+            GroupKey::Decade => format!("{}s", i64::from(code.decade) * 10),
+        })
+        .collect()
 }
 
 /// Compute one scorer's partial for `spec`. The shard's group-key
@@ -882,64 +1082,90 @@ pub(crate) fn shard_partial(
         return Err(AggregateError::NoAttributes);
     }
     let region = region_key(scorer.region());
-    let entries = scorer.top_k(usize::MAX);
+    let scores = scorer.top_k(usize::MAX).scores();
+    // Empty without attributes; `needs_attributes` guarantees they exist
+    // whenever a length, material, or year is read below.
+    let (lengths, materials, years) = attrs.map_or((&[][..], &[][..], &[][..]), |a| a.columns());
 
     if let Some(budget) = spec.budget_length_m {
-        let attrs = attrs.expect("needs_attributes covers budget mode");
         let mut candidates = Vec::new();
         let mut cumulative = 0.0f64;
-        for (i, entry) in entries.iter().enumerate() {
-            let length_m = attrs.length_m(i);
+        for (i, &score) in scores.iter().enumerate() {
             let candidate = Candidate {
-                score: entry.score,
-                length_m,
-                material: attrs.material_index(i) as u8,
-                laid_year: attrs.laid_year(i),
-                region: region.clone(),
+                score,
+                length_m: lengths[i],
+                material: materials[i] as u8,
+                laid_year: years[i] as i32,
+                region: 0,
             };
-            if cumulative + length_m <= budget {
-                cumulative += length_m;
-                candidates.push(candidate);
-            } else {
+            candidates.push(candidate);
+            if cumulative + candidate.length_m > budget {
                 // The sentinel: first pipe past the shard-local budget
                 // prefix. It always overflows globally too, so the greedy
                 // stops on it; it is never selected.
-                candidates.push(candidate);
                 break;
             }
+            cumulative += candidate.length_m;
         }
-        return Ok(AggregatePartial { groups: Vec::new(), candidates: Some(candidates) });
+        return Ok(AggregatePartial {
+            groups: Vec::new(),
+            regions: vec![region],
+            candidates: Some(candidates),
+        });
     }
 
-    let mut groups: Vec<(Vec<String>, GroupState)> = Vec::new();
-    let mut index: HashMap<Vec<String>, usize> = HashMap::new();
-    for (i, entry) in entries.iter().enumerate() {
-        let key: Vec<String> = spec
-            .group_by
-            .iter()
-            .map(|k| match k {
-                GroupKey::Region => region.clone(),
-                GroupKey::Material => attrs
-                    .expect("needs_attributes covers material")
-                    .material(i)
-                    .code()
-                    .to_string(),
-                GroupKey::Decade => {
-                    decade_of(attrs.expect("needs_attributes covers decade").laid_year(i))
-                }
-            })
-            .collect();
-        let length_m = attrs.map_or(0.0, |a| a.length_m(i));
-        match index.get(&key) {
-            Some(&at) => groups[at].1.add(entry.score, length_m),
-            None => {
-                index.insert(key.clone(), groups.len());
-                groups.push((key, GroupState::one(entry.score, length_m)));
-            }
-        }
-    }
-    groups.sort_by(|a, b| a.0.cmp(&b.0));
-    Ok(AggregatePartial { groups, candidates: None })
+    let dims = Dims::of(spec);
+    let code = |i: usize| {
+        let material = if dims.material { materials[i] as u8 } else { 0 };
+        let year = if dims.decade { years[i] as i32 } else { 0 };
+        dims.code(0, material, year)
+    };
+    let mut groups = Accumulator::new(
+        1,
+        if dims.material { Material::ALL.len() } else { 1 },
+        dims.decade.then(|| year_range(years.iter().map(|&y| y as i32))).flatten(),
+        || (0..scores.len()).map(code),
+    );
+    groups.add_ranked(code, scores, |i| lengths.get(i).copied().unwrap_or(0.0));
+    Ok(AggregatePartial {
+        groups: groups.into_rows(spec, &[region.as_str()]),
+        regions: Vec::new(),
+        candidates: None,
+    })
+}
+
+/// Answer `spec` over `scorers` in process, without a server: the body a
+/// server holding exactly these shards answers — one partial per scorer,
+/// merged in sorted region-key order, rendered. `serve_bench` times the
+/// kernel through it.
+///
+/// # Examples
+///
+/// ```
+/// use pipefail_core::model::{RiskRanking, RiskScore};
+/// use pipefail_core::snapshot::Snapshot;
+/// use pipefail_network::ids::PipeId;
+/// use pipefail_serve::aggregate::{execute, AggregateSpec};
+/// use pipefail_serve::Scorer;
+///
+/// let ranking = RiskRanking::new(vec![RiskScore { pipe: PipeId(0), score: 0.5 }]);
+/// let scorer = Scorer::new(Snapshot::new("DPMHBP", "Region A", 7, &ranking));
+/// let spec = AggregateSpec::parse(r#"{"group_by":["region"],"aggregates":[{"op":"count"}]}"#)
+///     .unwrap();
+/// assert_eq!(
+///     execute(&spec, &[scorer]).unwrap(),
+///     r#"{"groups":[{"key":{"region":"region_a"},"count":1}]}"#
+/// );
+/// ```
+pub fn execute(spec: &AggregateSpec, scorers: &[Scorer]) -> Result<String, AggregateError> {
+    let mut ordered: Vec<&Scorer> = scorers.iter().collect();
+    ordered.sort_by_cached_key(|s| region_key(s.region()));
+    let partials = ordered
+        .into_iter()
+        .map(|s| shard_partial(spec, s))
+        .collect::<Result<Vec<_>, _>>()?;
+    let (groups, budget) = merge_partials(spec, &partials);
+    Ok(render_aggregate(spec, groups, budget))
 }
 
 /// Merge partials fold-left in the order given (callers pass sorted
@@ -958,21 +1184,63 @@ pub(crate) fn merge_partials(
 /// group table; callers fix the partial order (sorted region-key) so the
 /// f64 addition order is pinned.
 fn fold_groups(partials: &[AggregatePartial]) -> Vec<(Vec<String>, GroupState)> {
-    let mut groups: Vec<(Vec<String>, GroupState)> = Vec::new();
-    let mut index: HashMap<Vec<String>, usize> = HashMap::new();
-    for partial in partials {
-        for (key, state) in &partial.groups {
-            match index.get(key) {
-                Some(&at) => groups[at].1.merge(state),
-                None => {
-                    index.insert(key.clone(), groups.len());
-                    groups.push((key.clone(), state.clone()));
-                }
+    let mut groups: BTreeMap<&[String], GroupState> = BTreeMap::new();
+    for (key, state) in partials.iter().flat_map(|p| &p.groups) {
+        match groups.entry(key.as_slice()) {
+            Entry::Occupied(mut at) => at.get_mut().merge(state),
+            Entry::Vacant(at) => {
+                at.insert(state.clone());
             }
         }
     }
-    groups.sort_by(|a, b| a.0.cmp(&b.0));
-    groups
+    groups.into_iter().map(|(key, state)| (key.to_vec(), state)).collect()
+}
+
+/// One region table across `partials`, interned by value: the shared
+/// names, and per partial the map from its local region indices into
+/// them.
+fn shared_regions(partials: &[AggregatePartial]) -> (Vec<&str>, Vec<Vec<u32>>) {
+    let mut names: Vec<&str> = Vec::new();
+    let mut index: HashMap<&str, u32> = HashMap::new();
+    let remap = partials
+        .iter()
+        .map(|p| {
+            p.regions
+                .iter()
+                .map(|name| {
+                    *index.entry(name.as_str()).or_insert_with(|| {
+                        names.push(name);
+                        (names.len() - 1) as u32
+                    })
+                })
+                .collect()
+        })
+        .collect();
+    (names, remap)
+}
+
+/// Every partial's budget candidates k-way-merged by descending score,
+/// ties toward the earliest partial (exactly like the top-K merge), with
+/// the index of the partial each came from.
+fn by_descending_score(
+    partials: &[AggregatePartial],
+) -> impl Iterator<Item = (usize, &Candidate)> + '_ {
+    let mut cursor = vec![0usize; partials.len()];
+    std::iter::from_fn(move || {
+        let mut best: Option<(usize, &Candidate)> = None;
+        for (s, partial) in partials.iter().enumerate() {
+            let stream = partial.candidates.as_deref().unwrap_or(&[]);
+            if let Some(c) = stream.get(cursor[s]) {
+                // Strict `>` keeps the earliest stream on ties.
+                if best.is_none_or(|(_, b)| c.score > b.score) {
+                    best = Some((s, c));
+                }
+            }
+        }
+        let (s, c) = best?;
+        cursor[s] += 1;
+        Some((s, c))
+    })
 }
 
 /// Collapse several shard partials into **one** partial — the
@@ -986,91 +1254,61 @@ pub(crate) fn merge_to_partial(
     partials: &[AggregatePartial],
 ) -> AggregatePartial {
     if spec.budget_length_m.is_none() {
-        return AggregatePartial { groups: fold_groups(partials), candidates: None };
+        return AggregatePartial {
+            groups: fold_groups(partials),
+            regions: Vec::new(),
+            candidates: None,
+        };
     }
-    let streams: Vec<&[Candidate]> = partials
-        .iter()
-        .map(|p| p.candidates.as_deref().unwrap_or(&[]))
+    let (regions, remap) = shared_regions(partials);
+    let candidates = by_descending_score(partials)
+        .map(|(s, c)| Candidate { region: remap[s][c.region as usize], ..*c })
         .collect();
-    let mut cursor = vec![0usize; streams.len()];
-    let total: usize = streams.iter().map(|s| s.len()).sum();
-    let mut merged = Vec::with_capacity(total);
-    while merged.len() < total {
-        let mut best: Option<usize> = None;
-        for (s, stream) in streams.iter().enumerate() {
-            if let Some(c) = stream.get(cursor[s]) {
-                // Strict `>` keeps the earliest stream on ties.
-                if best.is_none_or(|b| c.score > streams[b][cursor[b]].score) {
-                    best = Some(s);
-                }
-            }
-        }
-        let Some(s) = best else { break };
-        merged.push(streams[s][cursor[s]].clone());
-        cursor[s] += 1;
+    AggregatePartial {
+        groups: Vec::new(),
+        regions: regions.into_iter().map(str::to_string).collect(),
+        candidates: Some(candidates),
     }
-    AggregatePartial { groups: Vec::new(), candidates: Some(merged) }
 }
 
-/// The global budget greedy: k-way-merge the candidate streams by
-/// descending score (ties toward the earliest stream, exactly like the
-/// top-K merge), select while the cumulative length fits, stop at the
-/// first pipe that would overflow, and aggregate the selection in
-/// selection order.
+/// The global budget greedy: walk the merged descending-risk stream,
+/// select while the cumulative length fits, stop at the first pipe that
+/// would overflow, and aggregate the selection in selection order.
 fn merge_budget(
     spec: &AggregateSpec,
     partials: &[AggregatePartial],
     budget: f64,
 ) -> (Vec<(Vec<String>, GroupState)>, Option<BudgetSummary>) {
-    let streams: Vec<&[Candidate]> = partials
-        .iter()
-        .map(|p| p.candidates.as_deref().unwrap_or(&[]))
-        .collect();
-    let mut cursor = vec![0usize; streams.len()];
-    let mut groups: Vec<(Vec<String>, GroupState)> = Vec::new();
-    let mut index: HashMap<Vec<String>, usize> = HashMap::new();
+    let dims = Dims::of(spec);
+    let (regions, remap) = shared_regions(partials);
+    let code = |s: usize, c: &Candidate| {
+        dims.code(remap[s][c.region as usize], c.material, c.laid_year)
+    };
+    // Sized over every candidate — a superset of the selection.
+    let all = || {
+        partials
+            .iter()
+            .enumerate()
+            .flat_map(|(s, p)| p.candidates.iter().flatten().map(move |c| (s, c)))
+    };
+    let mut groups = Accumulator::new(
+        if dims.region { regions.len() } else { 1 },
+        if dims.material { Material::ALL.len() } else { 1 },
+        dims.decade.then(|| year_range(all().map(|(_, c)| c.laid_year))).flatten(),
+        || all().map(|(s, c)| code(s, c)),
+    );
     let mut selected = 0u64;
     let mut total_length = 0.0f64;
-    loop {
-        // Next pipe in global descending-risk order: the best live head.
-        // Strict `>` keeps the earliest stream on ties.
-        let mut best: Option<(usize, &Candidate)> = None;
-        for (s, stream) in streams.iter().enumerate() {
-            if let Some(c) = stream.get(cursor[s]) {
-                if best.is_none_or(|(_, b)| c.score > b.score) {
-                    best = Some((s, c));
-                }
-            }
-        }
-        let Some((s, c)) = best else { break };
+    for (s, c) in by_descending_score(partials) {
         if total_length + c.length_m > budget {
             break;
         }
-        cursor[s] += 1;
         selected += 1;
         total_length += c.length_m;
-        let key: Vec<String> = spec
-            .group_by
-            .iter()
-            .map(|k| match k {
-                GroupKey::Region => c.region.clone(),
-                GroupKey::Material => {
-                    Material::ALL[usize::from(c.material)].code().to_string()
-                }
-                GroupKey::Decade => decade_of(c.laid_year),
-            })
-            .collect();
-        match index.get(&key) {
-            Some(&at) => groups[at].1.add(c.score, c.length_m),
-            None => {
-                index.insert(key.clone(), groups.len());
-                groups.push((key, GroupState::one(c.score, c.length_m)));
-            }
-        }
+        groups.add(code(s, c), c.score, c.length_m);
     }
-    groups.sort_by(|a, b| a.0.cmp(&b.0));
     (
-        groups,
+        groups.into_rows(spec, &regions),
         Some(BudgetSummary { budget_length_m: budget, selected, total_length_m: total_length }),
     )
 }
@@ -1140,21 +1378,25 @@ pub(crate) fn render_aggregate(
 
 /// Render a partial for the `?partial=1` wire. Every f64 goes through
 /// shortest-round-trip text, so the front end recovers the exact bits.
+/// Each candidate carries its region key inline.
 pub(crate) fn render_partial(partial: &AggregatePartial) -> String {
+    use std::fmt::Write as _;
     if let Some(candidates) = &partial.candidates {
+        let regions: Vec<String> = partial.regions.iter().map(|r| json_str(r)).collect();
         let mut out = String::from("{\"candidates\":[");
         for (i, c) in candidates.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 "[{},{},{},{},{}]",
                 c.score,
                 c.length_m,
                 c.material,
                 c.laid_year,
-                json_str(&c.region)
-            ));
+                regions[c.region as usize]
+            );
         }
         out.push_str("]}");
         return out;
@@ -1171,10 +1413,11 @@ pub(crate) fn render_partial(partial: &AggregatePartial) -> String {
             }
             out.push_str(&json_str(value));
         }
-        out.push_str(&format!(
+        let _ = write!(
+            out,
             "],\"state\":[{},{},{},{},{},{},{}]}}",
             s.count, s.sum_risk, s.min_risk, s.max_risk, s.sum_len, s.min_len, s.max_len
-        ));
+        );
     }
     out.push_str("]}");
     out
@@ -1196,6 +1439,7 @@ fn partial_count(v: &Json) -> Result<u64, AggregateError> {
 
 /// Parse and validate a backend's `?partial=1` reply against `spec` —
 /// budget specs must answer candidates, everything else group states.
+/// Candidate region keys are interned into the partial's region table.
 pub(crate) fn parse_partial(
     spec: &AggregateSpec,
     body: &str,
@@ -1212,6 +1456,8 @@ pub(crate) fn parse_partial(
                 return Err(AggregateError::BadPartial("candidates must be an array"));
             };
             let mut candidates = Vec::with_capacity(items.len());
+            let mut regions: Vec<String> = Vec::new();
+            let mut index: HashMap<&str, u32> = HashMap::new();
             for item in items {
                 let Json::Arr(parts) = item else {
                     return Err(AggregateError::BadPartial("candidate must be an array"));
@@ -1247,15 +1493,13 @@ pub(crate) fn parse_partial(
                 let Json::Str(region) = region else {
                     return Err(AggregateError::BadPartial("candidate region"));
                 };
-                candidates.push(Candidate {
-                    score,
-                    length_m,
-                    material,
-                    laid_year,
-                    region: region.clone(),
+                let region = *index.entry(region.as_str()).or_insert_with(|| {
+                    regions.push(region.clone());
+                    (regions.len() - 1) as u32
                 });
+                candidates.push(Candidate { score, length_m, material, laid_year, region });
             }
-            Ok(AggregatePartial { groups: Vec::new(), candidates: Some(candidates) })
+            Ok(AggregatePartial { groups: Vec::new(), regions, candidates: Some(candidates) })
         }
         ("groups", false) => {
             let Json::Arr(items) = value else {
@@ -1306,7 +1550,7 @@ pub(crate) fn parse_partial(
                     },
                 ));
             }
-            Ok(AggregatePartial { groups, candidates: None })
+            Ok(AggregatePartial { groups, regions: Vec::new(), candidates: None })
         }
         ("candidates", false) | ("groups", true) => {
             Err(AggregateError::BadPartial("partial mode does not match the spec"))
@@ -1346,6 +1590,145 @@ mod tests {
 
     fn spec_json(json: &str) -> AggregateSpec {
         AggregateSpec::parse(json).expect("valid spec")
+    }
+
+    /// Construction-year cohort label, e.g. `"1950s"`, widened so the
+    /// decade of `i32::MIN` renders instead of overflowing.
+    fn decade_of(year: i32) -> String {
+        format!("{}s", i64::from(year).div_euclid(10) * 10)
+    }
+
+    /// The string-keyed kernel the dense one replaced, kept as an oracle:
+    /// one `Vec<String>` key per pipe and a `HashMap` index per table.
+    /// Grouped specs accumulate each shard in rank order and fold the
+    /// shards' states in the given order; budget specs walk each shard's
+    /// candidate prefix (plus sentinel), k-way-merge the streams by
+    /// descending score with ties toward the earliest shard, and group the
+    /// greedy selection in selection order.
+    fn string_keyed_reference(spec: &AggregateSpec, shards: &[Scorer]) -> String {
+        let key_of = |region: &str, material: usize, year: i32| -> Vec<String> {
+            spec.group_by
+                .iter()
+                .map(|k| match k {
+                    GroupKey::Region => region.to_string(),
+                    GroupKey::Material => Material::ALL[material].code().to_string(),
+                    GroupKey::Decade => decade_of(year),
+                })
+                .collect()
+        };
+        fn add_keyed(
+            groups: &mut Vec<(Vec<String>, GroupState)>,
+            index: &mut HashMap<Vec<String>, usize>,
+            key: Vec<String>,
+            state: GroupState,
+        ) {
+            match index.get(&key) {
+                Some(&at) => groups[at].1.merge(&state),
+                None => {
+                    index.insert(key.clone(), groups.len());
+                    groups.push((key, state));
+                }
+            }
+        }
+        let mut groups: Vec<(Vec<String>, GroupState)> = Vec::new();
+        let mut index: HashMap<Vec<String>, usize> = HashMap::new();
+
+        let Some(budget) = spec.budget_length_m else {
+            for shard in shards {
+                let attrs = shard.attributes();
+                let region = region_key(shard.region());
+                let mut local: Vec<(Vec<String>, GroupState)> = Vec::new();
+                let mut local_index: HashMap<Vec<String>, usize> = HashMap::new();
+                for (i, e) in shard.top_k(usize::MAX).iter().enumerate() {
+                    let key = key_of(
+                        &region,
+                        attrs.map_or(0, |a| a.material_index(i)),
+                        attrs.map_or(0, |a| a.laid_year(i)),
+                    );
+                    let state = GroupState::one(e.score, attrs.map_or(0.0, |a| a.length_m(i)));
+                    match local_index.get(&key) {
+                        Some(&at) => local[at].1.add(state.sum_risk, state.sum_len),
+                        None => add_keyed(&mut local, &mut local_index, key, state),
+                    }
+                }
+                for (key, state) in local {
+                    add_keyed(&mut groups, &mut index, key, state);
+                }
+            }
+            groups.sort_by(|a, b| a.0.cmp(&b.0));
+            return render_aggregate(spec, groups, None);
+        };
+
+        type Pick = (f64, f64, usize, i32, String);
+        let streams: Vec<Vec<Pick>> = shards
+            .iter()
+            .map(|shard| {
+                let attrs = shard.attributes().expect("budget specs need attributes");
+                let region = region_key(shard.region());
+                let mut stream = Vec::new();
+                let mut cumulative = 0.0f64;
+                for (i, e) in shard.top_k(usize::MAX).iter().enumerate() {
+                    let length = attrs.length_m(i);
+                    stream.push((e.score, length, attrs.material_index(i), attrs.laid_year(i), region.clone()));
+                    if cumulative + length > budget {
+                        break;
+                    }
+                    cumulative += length;
+                }
+                stream
+            })
+            .collect();
+        let mut cursor = vec![0usize; streams.len()];
+        let (mut selected, mut total_length) = (0u64, 0.0f64);
+        loop {
+            let mut best: Option<usize> = None;
+            for (s, stream) in streams.iter().enumerate() {
+                if let Some(c) = stream.get(cursor[s]) {
+                    if best.is_none_or(|b| c.0 > streams[b][cursor[b]].0) {
+                        best = Some(s);
+                    }
+                }
+            }
+            let Some(s) = best else { break };
+            let (score, length, material, year, region) = &streams[s][cursor[s]];
+            if total_length + length > budget {
+                break;
+            }
+            cursor[s] += 1;
+            selected += 1;
+            total_length += length;
+            let key = key_of(region, *material, *year);
+            match index.get(&key) {
+                Some(&at) => groups[at].1.add(*score, *length),
+                None => add_keyed(&mut groups, &mut index, key, GroupState::one(*score, *length)),
+            }
+        }
+        groups.sort_by(|a, b| a.0.cmp(&b.0));
+        render_aggregate(
+            spec,
+            groups,
+            Some(BudgetSummary { budget_length_m: budget, selected, total_length_m: total_length }),
+        )
+    }
+
+    /// A shard from `(score, length, material, year)` rows (any order; the
+    /// ranking sorts them by descending score, stably).
+    fn attribute_shard(region: &str, rows: &[(f64, f64, u8, i32)]) -> Scorer {
+        let mut rows = rows.to_vec();
+        rows.sort_by(|a, b| b.0.total_cmp(&a.0));
+        let ranking = RiskRanking::new(
+            rows.iter()
+                .enumerate()
+                .map(|(i, r)| RiskScore { pipe: PipeId(i as u32), score: r.0 })
+                .collect(),
+        );
+        let mut snap = Snapshot::new("DPMHBP", region, 7, &ranking);
+        snap.push_section(attributes_section(
+            rows.iter().map(|r| r.1).collect(),
+            rows.iter().map(|r| f64::from(r.2)).collect(),
+            rows.iter().map(|r| f64::from(r.3)).collect(),
+        ));
+        Scorer::new(snap)
     }
 
     #[test]
@@ -1680,7 +2063,7 @@ mod tests {
         );
         // Multi-byte characters survive the run copy intact.
         let first = &partial.candidates.as_ref().expect("budget mode")[0];
-        assert_eq!(first.region, "Region Alpha North-East ü");
+        assert_eq!(partial.regions[first.region as usize], "Region Alpha North-East ü");
     }
 
     #[test]
@@ -1706,8 +2089,180 @@ mod tests {
         assert_eq!(parse_json(&deep), Err(AggregateError::TooDeep));
     }
 
+    #[test]
+    fn decades_render_across_the_whole_i32_range() {
+        let shard = attribute_shard(
+            "Region A",
+            &[
+                (0.9, 1.0, 0, i32::MIN),
+                (0.8, 2.0, 1, i32::MAX),
+                (0.7, 3.0, 2, -1),
+                (0.6, 4.0, 3, 0),
+                (0.5, 5.0, 4, 1959),
+            ],
+        );
+        let spec = spec_json(r#"{"group_by":["decade"],"aggregates":[{"op":"count"}]}"#);
+        let body = execute(&spec, std::slice::from_ref(&shard)).expect("kernel");
+        for label in ["-2147483650s", "2147483640s", "-10s", "0s", "1950s"] {
+            assert!(body.contains(&format!("\"decade\":\"{label}\"")), "{label} missing: {body}");
+        }
+        assert_eq!(body, string_keyed_reference(&spec, &[shard]));
+    }
+
+    #[test]
+    fn accumulator_is_dense_for_real_year_ranges_and_interns_wide_ones() {
+        let code = |material, decade| GroupCode { region: 0, material, decade };
+        let dense = Accumulator::new(1, 9, Some((1850, 2029)), || -> std::iter::Empty<GroupCode> {
+            panic!("a dense layout never walks the codes")
+        });
+        assert!(matches!(dense.layout, Layout::Dense { materials: 9, min_decade: 185, span: 18 }));
+        assert_eq!(dense.states.len(), 9 * 18);
+
+        let wide = [code(1, i32::MIN.div_euclid(10)), code(1, i32::MAX / 10), code(1, 0), code(1, 0)];
+        let mut interned =
+            Accumulator::new(1, 9, Some((i32::MIN, i32::MAX)), || wide.iter().copied());
+        assert!(matches!(&interned.layout, Layout::Interned(codes) if codes.len() == 3));
+        for (i, &c) in wide.iter().enumerate() {
+            interned.add(c, i as f64, 1.0);
+        }
+        let spec = spec_json(r#"{"group_by":["decade"],"aggregates":[{"op":"count"}]}"#);
+        let rows = interned.into_rows(&spec, &[]);
+        let keys: Vec<&str> = rows.iter().map(|(k, _)| k[0].as_str()).collect();
+        assert_eq!(keys, ["-2147483650s", "0s", "2147483640s"]);
+        assert_eq!(rows[1].1.count, 2);
+        assert_eq!(rows[1].1.sum_risk, 2.0 + 3.0);
+    }
+
+    #[test]
+    fn first_pipe_into_an_empty_group_matches_a_seeded_group_bit_for_bit() {
+        let bits = |g: &GroupState| {
+            [g.sum_risk, g.min_risk, g.max_risk, g.sum_len, g.min_len, g.max_len].map(f64::to_bits)
+        };
+        let values = [0.0, -0.0, 1.5, -2.25, f64::MAX, f64::MIN_POSITIVE, f64::INFINITY, f64::NEG_INFINITY];
+        for &risk in &values {
+            for &len in &values {
+                let mut g = GroupState::EMPTY;
+                g.add(risk, len);
+                let seeded = GroupState::one(risk, len);
+                assert_eq!((g.count, bits(&g)), (1, bits(&seeded)), "risk {risk:?}, length {len:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn negative_zero_sums_render_like_the_reference() {
+        // Groups whose every length or score is -0.0 must keep the sign:
+        // the accumulator seeds from the first pipe instead of adding to
+        // +0.0.
+        let shard = attribute_shard(
+            "Region A",
+            &[(-0.0, -0.0, 0, 1950), (-0.0, -0.0, 0, 1951), (0.5, 2.0, 1, 1960)],
+        );
+        for spec in [
+            r#"{"group_by":["material"],"aggregates":[{"op":"sum","field":"length_m"},{"op":"sum","field":"risk"}]}"#,
+            r#"{"group_by":["material"],"aggregates":[{"op":"sum","field":"length_m"}],"budget":{"length_m":10}}"#,
+        ] {
+            let spec = spec_json(spec);
+            let body = execute(&spec, std::slice::from_ref(&shard)).expect("kernel");
+            assert!(body.contains("\"sum_length_m\":-0"), "{body}");
+            assert_eq!(body, string_keyed_reference(&spec, std::slice::from_ref(&shard)));
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The dense kernel against the string-keyed oracle, byte for
+        /// byte: random fleets (empty shards included) whose year regimes
+        /// range from real construction years through negative years and
+        /// spans wide enough to force the interning fallback to
+        /// `i32::MIN`/`i32::MAX`, with `-0.0` scores and lengths, every
+        /// group-key subset and order, grouped and budget specs. Checked
+        /// through the in-process merge, through each partial's wire round
+        /// trip, and with a run of shards first collapsed by
+        /// `merge_to_partial` (a multi-region backend's `?partial=1`) and
+        /// sent over the wire.
+        #[test]
+        fn dense_kernel_matches_string_keyed_reference(
+            tables in proptest::collection::vec(
+                (0u8..4, proptest::collection::vec((0usize..4, 0usize..5, 0u8..9, i32::MIN..i32::MAX), 0..30)),
+                1..5),
+            keys in (1u8..8, 0usize..6),
+            first in 0usize..9,
+            budget in proptest::option::of(0.0f64..400.0),
+            top in proptest::option::of(1usize..6),
+            run in (0usize..5, 0usize..5),
+        ) {
+            let score_of = |p: usize| [0.9, 0.5, 0.0, -0.0][p];
+            let length_of = |l: usize| [0.0, -0.0, 12.5, 7.25, 100.0][l];
+            let year_of = |regime: u8, raw: i32| match regime {
+                0 => 1850 + raw.rem_euclid(180),
+                1 => -605 + raw.rem_euclid(600),
+                2 => raw.rem_euclid(100_000) * 10,
+                _ => [i32::MIN, i32::MAX, raw][raw.rem_euclid(3) as usize],
+            };
+            let shards: Vec<Scorer> = tables
+                .iter()
+                .enumerate()
+                .map(|(s, (regime, rows))| {
+                    let rows: Vec<(f64, f64, u8, i32)> = rows
+                        .iter()
+                        .map(|&(p, l, m, raw)| (score_of(p), length_of(l), m, year_of(*regime, raw)))
+                        .collect();
+                    attribute_shard(&format!("Region {s}"), &rows)
+                })
+                .collect();
+
+            let orders = [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];
+            let all_keys = [GroupKey::Region, GroupKey::Material, GroupKey::Decade];
+            let mut spec = AggregateSpec::new();
+            for k in orders[keys.1] {
+                if keys.0 & (1 << k) != 0 {
+                    spec = spec.group_by(all_keys[k]);
+                }
+            }
+            let columns = [
+                (AggOp::Count, None),
+                (AggOp::Sum, Some(AggField::Risk)),
+                (AggOp::Min, Some(AggField::Risk)),
+                (AggOp::Max, Some(AggField::Risk)),
+                (AggOp::Avg, Some(AggField::Risk)),
+                (AggOp::Sum, Some(AggField::LengthM)),
+                (AggOp::Min, Some(AggField::LengthM)),
+                (AggOp::Max, Some(AggField::LengthM)),
+                (AggOp::Avg, Some(AggField::LengthM)),
+            ];
+            for i in 0..columns.len() {
+                let (op, field) = columns[(first + i) % columns.len()];
+                spec = spec.aggregate(op, field);
+            }
+            if let Some(b) = budget { spec = spec.with_budget(b); }
+            if let Some(t) = top { spec = spec.with_top_groups(t); }
+
+            let expected = string_keyed_reference(&spec, &shards);
+            prop_assert_eq!(&execute(&spec, &shards).expect("kernel"), &expected);
+
+            let partials: Vec<AggregatePartial> =
+                shards.iter().map(|s| shard_partial(&spec, s).expect("partial")).collect();
+            let wired: Vec<AggregatePartial> = partials
+                .iter()
+                .map(|p| parse_partial(&spec, &render_partial(p)).expect("wire round trip"))
+                .collect();
+            let (groups, b) = merge_partials(&spec, &wired);
+            prop_assert_eq!(&render_aggregate(&spec, groups, b), &expected);
+
+            let lo = run.0 % partials.len();
+            let hi = lo + 1 + run.1 % (partials.len() - lo);
+            let collapsed = merge_to_partial(&spec, &partials[lo..hi]);
+            let wire = render_partial(&collapsed);
+            let back = parse_partial(&spec, &wire).expect("collapsed round trip");
+            prop_assert_eq!(render_partial(&back), wire);
+            let mut front = partials[..lo].to_vec();
+            front.push(back);
+            front.extend_from_slice(&partials[hi..]);
+            let (groups, b) = merge_partials(&spec, &front);
+            prop_assert_eq!(render_aggregate(&spec, groups, b), expected);
+        }
 
         /// The spec parser never panics on arbitrary bytes (the same
         /// contract the HTTP request parser proves).

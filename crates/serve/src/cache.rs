@@ -23,6 +23,14 @@
 //!   read by the health prober, bounding staleness by the probe interval)
 //!   retires them.
 //!
+//! A key under a retired epoch can never be built again, so its entry is
+//! dead weight. Each LRU slot records the `(scope, epoch)` its key embeds,
+//! and the first request to observe a new fleet generation purges every
+//! entry whose epoch is no longer live for its scope (counted in
+//! `pipefail_cache_retired_total`, apart from byte-pressure
+//! `pipefail_cache_evictions_total`) instead of leaving it resident until
+//! LRU pressure reaches it.
+//!
 //! Only **full 200s** are stored. Degraded-shard 503s, partial fleet
 //! answers (`X-Pipefail-Partial`), typed 4xx — anything whose body depends
 //! on transient health — is never cached ("per-epoch-per-health-state or
@@ -50,6 +58,7 @@ use crate::metrics::{Metrics, Route};
 use crate::parser::ParsedRequest;
 use crate::query;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -58,7 +67,7 @@ use std::time::Duration;
 const LOCK_SHARDS: usize = 8;
 
 /// Slot-list terminator for the intrusive LRU links.
-const NIL: usize = usize::MAX;
+const NIL: u32 = u32::MAX;
 
 /// Fixed per-entry overhead charged against the byte budget on top of the
 /// key and body lengths (slot links, map entry, `Arc` headers).
@@ -84,8 +93,9 @@ const FNV_BASIS_B: u64 = 0x6c62_272e_07bb_0142;
 /// Which state generation covers a cacheable request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Scope {
-    /// One fleet member with an exact epoch (an in-process shard).
-    Shard(usize),
+    /// One fleet member with an exact epoch (an in-process shard), by
+    /// index (`u32` keeps [`Slot`] small).
+    Shard(u32),
     /// The whole fleet: epoch = the fleet generation.
     Fleet,
 }
@@ -109,7 +119,7 @@ impl Spec {
     /// are cached, so a fleet-scope one counts every member.
     fn replay(&self, metrics: &Metrics, members: usize) {
         match self.scope {
-            Scope::Shard(i) => metrics.shard_request(i),
+            Scope::Shard(i) => metrics.shard_request(i as usize),
             Scope::Fleet => {
                 for i in 0..members {
                     metrics.shard_request(i);
@@ -189,24 +199,39 @@ impl Flight {
     }
 }
 
-/// One slot of a lock shard's intrusive LRU list.
+/// One slot of a lock shard's intrusive LRU list. Kept at 48 bytes —
+/// a full cache holds hundreds of thousands — so the links are `u32` and
+/// the byte cost is recomputed from the key and entry.
 struct Slot {
     key: Arc<str>,
     entry: Arc<Entry>,
-    cost: usize,
-    prev: usize,
-    next: usize,
+    /// The state generation the key embeds: once `scope`'s live epoch
+    /// moves past `epoch` the key can never be built again, and the next
+    /// purge frees the slot.
+    epoch: u64,
+    scope: Scope,
+    prev: u32,
+    next: u32,
+}
+
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<Slot>() == 48);
+
+impl Slot {
+    fn cost(&self) -> usize {
+        self.entry.cost(&self.key)
+    }
 }
 
 /// One lock shard: a byte-budgeted LRU (hash map over an intrusive
 /// doubly-linked slot list — O(1) touch, insert, evict) plus the pending
 /// single-flight map for keys hashing here.
 struct LruShard {
-    map: HashMap<Arc<str>, usize>,
+    map: HashMap<Arc<str>, u32>,
     slots: Vec<Slot>,
-    free: Vec<usize>,
-    head: usize,
-    tail: usize,
+    free: Vec<u32>,
+    head: u32,
+    tail: u32,
     bytes: usize,
     pending: HashMap<Arc<str>, Arc<Flight>>,
 }
@@ -224,23 +249,28 @@ impl LruShard {
         }
     }
 
-    fn detach(&mut self, i: usize) {
-        let (prev, next) = (self.slots[i].prev, self.slots[i].next);
+    fn slot(&mut self, i: u32) -> &mut Slot {
+        &mut self.slots[i as usize]
+    }
+
+    fn detach(&mut self, i: u32) {
+        let (prev, next) = (self.slot(i).prev, self.slot(i).next);
         match prev {
             NIL => self.head = next,
-            p => self.slots[p].next = next,
+            p => self.slot(p).next = next,
         }
         match next {
             NIL => self.tail = prev,
-            n => self.slots[n].prev = prev,
+            n => self.slot(n).prev = prev,
         }
     }
 
-    fn push_front(&mut self, i: usize) {
-        self.slots[i].prev = NIL;
-        self.slots[i].next = self.head;
-        if self.head != NIL {
-            self.slots[self.head].prev = i;
+    fn push_front(&mut self, i: u32) {
+        let head = self.head;
+        self.slot(i).prev = NIL;
+        self.slot(i).next = head;
+        if head != NIL {
+            self.slot(head).prev = i;
         }
         self.head = i;
         if self.tail == NIL {
@@ -252,57 +282,79 @@ impl LruShard {
         let i = *self.map.get(key)?;
         self.detach(i);
         self.push_front(i);
-        Some(Arc::clone(&self.slots[i].entry))
+        Some(Arc::clone(&self.slot(i).entry))
     }
 
-    /// Insert (or replace) `key`, then evict from the tail until the
-    /// shard fits its budget. Returns `(bytes_delta, evictions)`.
-    fn insert(&mut self, key: Arc<str>, entry: Arc<Entry>, budget: usize) -> (i64, u64) {
+    /// Unlink slot `i`, free it, and drop its body now rather than at
+    /// slot reuse. Returns the bytes it held.
+    fn remove(&mut self, i: u32) -> usize {
+        self.detach(i);
+        let cost = self.slot(i).cost();
+        self.bytes -= cost;
+        self.map.remove(&self.slots[i as usize].key);
+        self.free.push(i);
+        self.slot(i).entry = Arc::new(Entry { content_type: "", body: Arc::from(""), etag: None });
+        cost
+    }
+
+    /// Insert (or replace) `key`, stored under `scope` at `epoch`, then
+    /// evict from the tail until the shard fits its budget. Returns
+    /// `(bytes_delta, evictions)`.
+    fn insert(
+        &mut self,
+        key: Arc<str>,
+        entry: Arc<Entry>,
+        (scope, epoch): (Scope, u64),
+        budget: usize,
+    ) -> (i64, u64) {
         let cost = entry.cost(&key);
-        let mut delta = 0i64;
+        let mut delta = cost as i64;
+        self.bytes += cost;
         if let Some(&i) = self.map.get(&key) {
-            delta -= self.slots[i].cost as i64;
-            self.bytes -= self.slots[i].cost;
-            self.slots[i].entry = entry;
-            self.slots[i].cost = cost;
-            self.bytes += cost;
-            delta += cost as i64;
+            let old = self.slot(i).cost();
+            delta -= old as i64;
+            self.bytes -= old;
+            self.slot(i).entry = entry;
             self.detach(i);
             self.push_front(i);
         } else {
-            let slot = Slot { key: Arc::clone(&key), entry, cost, prev: NIL, next: NIL };
+            let slot = Slot { key: Arc::clone(&key), entry, epoch, scope, prev: NIL, next: NIL };
             let i = match self.free.pop() {
                 Some(i) => {
-                    self.slots[i] = slot;
+                    *self.slot(i) = slot;
                     i
                 }
                 None => {
                     self.slots.push(slot);
-                    self.slots.len() - 1
+                    (self.slots.len() - 1) as u32
                 }
             };
             self.map.insert(key, i);
             self.push_front(i);
-            self.bytes += cost;
-            delta += cost as i64;
         }
         let mut evictions = 0u64;
         while self.bytes > budget && self.tail != NIL && self.map.len() > 1 {
-            let t = self.tail;
-            self.detach(t);
-            self.bytes -= self.slots[t].cost;
-            delta -= self.slots[t].cost as i64;
-            self.map.remove(&self.slots[t].key);
-            self.free.push(t);
-            // Drop the evicted body now rather than at slot reuse.
-            self.slots[t].entry = Arc::new(Entry {
-                content_type: "",
-                body: Arc::from(""),
-                etag: None,
-            });
+            delta -= self.remove(self.tail) as i64;
             evictions += 1;
         }
         (delta, evictions)
+    }
+
+    /// Free every entry whose epoch is no longer `live` for its scope.
+    /// Returns `(bytes_freed, entries_purged)`.
+    fn purge(&mut self, live: &impl Fn(Scope) -> u64) -> (usize, u64) {
+        let (mut freed, mut purged) = (0usize, 0u64);
+        let mut i = self.head;
+        while i != NIL {
+            let slot = self.slot(i);
+            let (next, retired) = (slot.next, live(slot.scope) != slot.epoch);
+            if retired {
+                freed += self.remove(i);
+                purged += 1;
+            }
+            i = next;
+        }
+        (freed, purged)
     }
 }
 
@@ -311,6 +363,8 @@ pub(crate) struct ResultCache {
     shards: Vec<Mutex<LruShard>>,
     /// Per-lock-shard byte budget (`PIPEFAIL_CACHE_BYTES / LOCK_SHARDS`).
     shard_budget: usize,
+    /// The fleet generation the last retired-epoch purge ran at.
+    purged_at: AtomicU64,
 }
 
 impl ResultCache {
@@ -318,6 +372,27 @@ impl ResultCache {
         Self {
             shards: (0..LOCK_SHARDS).map(|_| Mutex::new(LruShard::new())).collect(),
             shard_budget: (total_bytes / LOCK_SHARDS).max(1),
+            purged_at: AtomicU64::new(0),
+        }
+    }
+
+    /// Once per fleet-generation change, free every entry keyed under an
+    /// epoch that is no longer `live` for its scope — such keys can never
+    /// be built again, so without this they would hold bytes until LRU
+    /// pressure reached them. O(resident entries), run by the first
+    /// request that observes the new generation; every other request pays
+    /// one atomic load.
+    fn purge_retired(&self, fleet_epoch: u64, live: impl Fn(Scope) -> u64, metrics: &Metrics) {
+        if self.purged_at.load(Ordering::Acquire) == fleet_epoch
+            || self.purged_at.swap(fleet_epoch, Ordering::AcqRel) == fleet_epoch
+        {
+            return;
+        }
+        for shard in &self.shards {
+            let (freed, purged) =
+                shard.lock().unwrap_or_else(|p| p.into_inner()).purge(&live);
+            metrics.cache_resident_delta(-(freed as i64));
+            metrics.cache_retired(purged);
         }
     }
 
@@ -341,24 +416,35 @@ impl ResultCache {
         Admission::Lead(flight)
     }
 
-    /// Leader's epilogue: store the entry (if any), clear the pending
-    /// marker, and wake every waiter. Exactly one call per
-    /// [`Admission::Lead`]; the [`FlightGuard`] drop path covers unwinds.
+    /// Leader's epilogue: store the entry (if any) under its `(scope,
+    /// epoch)`, clear the pending marker, and wake every waiter. Exactly
+    /// one call per [`Admission::Lead`]; the [`FlightGuard`] drop path
+    /// covers unwinds. The store happens only if `live` still reports the
+    /// key's epoch, read under the lock shard's mutex: a purge for a newer
+    /// generation takes the same mutex after the epoch moved, so an entry
+    /// either is refused here or is resident when that purge looks.
     fn finish(
         &self,
         key: &Arc<str>,
         flight: &Flight,
-        entry: Option<Arc<Entry>>,
+        entry: Option<(Arc<Entry>, Scope, u64)>,
+        live: impl Fn(Scope) -> u64,
         metrics: &Metrics,
     ) {
         let (delta, evictions) = {
             let mut shard = self.shard(key).lock().unwrap_or_else(|p| p.into_inner());
             shard.pending.remove(key.as_ref());
             match &entry {
-                Some(e) => shard.insert(Arc::clone(key), Arc::clone(e), self.shard_budget),
-                None => (0, 0),
+                Some((e, scope, epoch)) if live(*scope) == *epoch => shard.insert(
+                    Arc::clone(key),
+                    Arc::clone(e),
+                    (*scope, *epoch),
+                    self.shard_budget,
+                ),
+                _ => (0, 0),
             }
         };
+        let entry = entry.map(|(e, _, _)| e);
         metrics.cache_resident_delta(delta);
         metrics.cache_evicted(evictions);
         flight.publish(entry);
@@ -387,7 +473,7 @@ struct FlightGuard<'a> {
 impl Drop for FlightGuard<'_> {
     fn drop(&mut self) {
         if self.armed {
-            self.cache.finish(self.key, self.flight, None, self.metrics);
+            self.cache.finish(self.key, self.flight, None, |_| 0, self.metrics);
         }
     }
 }
@@ -438,7 +524,9 @@ impl<T: Topology> CachingHandler<T> {
     /// fleet value is a sum so any member's change moves it.
     fn epoch_of(&self, scope: Scope) -> u64 {
         match scope {
-            Scope::Shard(i) => self.fleet().members()[i].exact_epoch().unwrap_or_default(),
+            Scope::Shard(i) => {
+                self.fleet().members()[i as usize].exact_epoch().unwrap_or_default()
+            }
             Scope::Fleet => self.fleet().epoch(),
         }
     }
@@ -466,7 +554,7 @@ impl<T: Topology> CachingHandler<T> {
             None => return Some(Scope::Fleet),
         };
         fleet.members()[idx].exact_epoch()?;
-        Some(Scope::Shard(idx))
+        Some(Scope::Shard(idx as u32))
     }
 
     /// Classify a request: `Some` iff its 200 body is a pure function of
@@ -541,7 +629,13 @@ impl<T: Topology> CachingHandler<T> {
         let (route, mut response) = self.route(req, metrics);
         let entry = self.storable(spec, &mut response);
         guard.armed = false;
-        cache.finish(&spec.key, flight, entry, metrics);
+        cache.finish(
+            &spec.key,
+            flight,
+            entry.map(|e| (e, spec.scope, spec.epoch)),
+            |scope| self.epoch_of(scope),
+            metrics,
+        );
         (route, response)
     }
 
@@ -637,6 +731,9 @@ impl<T: Topology> RequestHandler for CachingHandler<T> {
         } else {
             (req, false)
         };
+        if let Some(cache) = &self.cache {
+            cache.purge_retired(self.fleet().epoch(), |scope| self.epoch_of(scope), metrics);
+        }
         let (route, mut response) = match self.classify(req) {
             Some(spec) => self.handle_cacheable(&spec, req, metrics),
             None => self.route(req, metrics),
@@ -663,15 +760,19 @@ mod tests {
         Arc::from(s)
     }
 
+    /// The `(scope, epoch)` tests store under when the scope is beside
+    /// the point.
+    const TAG: (Scope, u64) = (Scope::Fleet, 1);
+
     #[test]
     fn lru_touches_and_evicts_from_the_tail() {
         let mut shard = LruShard::new();
         let budget = entry("x").cost("a") * 2 + 10;
-        shard.insert(key("a"), entry("x"), budget);
-        shard.insert(key("b"), entry("y"), budget);
+        shard.insert(key("a"), entry("x"), TAG, budget);
+        shard.insert(key("b"), entry("y"), TAG, budget);
         // Touch `a` so `b` is the LRU victim.
         assert!(shard.get_touch("a").is_some());
-        let (_, evicted) = shard.insert(key("c"), entry("z"), budget);
+        let (_, evicted) = shard.insert(key("c"), entry("z"), TAG, budget);
         assert_eq!(evicted, 1);
         assert!(shard.get_touch("b").is_none(), "tail entry evicted");
         assert!(shard.get_touch("a").is_some());
@@ -681,9 +782,9 @@ mod tests {
     #[test]
     fn replacing_a_key_updates_bytes_without_growing_the_map() {
         let mut shard = LruShard::new();
-        shard.insert(key("a"), entry("short"), usize::MAX);
+        shard.insert(key("a"), entry("short"), TAG, usize::MAX);
         let before = shard.bytes;
-        shard.insert(key("a"), entry("a much longer body than before"), usize::MAX);
+        shard.insert(key("a"), entry("a much longer body than before"), TAG, usize::MAX);
         assert_eq!(shard.map.len(), 1);
         assert!(shard.bytes > before);
     }
@@ -693,7 +794,7 @@ mod tests {
         // One huge entry: the `map.len() > 1` floor keeps it rather than
         // thrash-evicting the only resident body.
         let mut shard = LruShard::new();
-        let (_, evicted) = shard.insert(key("big"), entry(&"x".repeat(4096)), 8);
+        let (_, evicted) = shard.insert(key("big"), entry(&"x".repeat(4096)), TAG, 8);
         assert_eq!(evicted, 0);
         assert!(shard.get_touch("big").is_some());
     }
@@ -706,9 +807,74 @@ mod tests {
         let Admission::Lead(flight) = cache.admit(&k) else {
             panic!("fresh key must lead")
         };
-        cache.finish(&k, &flight, Some(entry("body")), &metrics);
+        cache.finish(&k, &flight, Some((entry("body"), TAG.0, TAG.1)), |_| TAG.1, &metrics);
         assert!(cache.resident_bytes() > 0);
         assert!(matches!(cache.admit(&k), Admission::Hit(_)));
+    }
+
+    #[test]
+    fn epoch_change_purges_only_retired_entries() {
+        let cache = ResultCache::new(1 << 20);
+        let metrics = Metrics::new();
+        // Two shards at epoch 1; the fleet generation is their sum.
+        let shard_epochs = [AtomicU64::new(1), AtomicU64::new(1)];
+        let live = |scope| match scope {
+            Scope::Shard(i) => shard_epochs[i as usize].load(Ordering::SeqCst),
+            Scope::Fleet => shard_epochs.iter().map(|e| e.load(Ordering::SeqCst)).sum(),
+        };
+        let stored = [
+            ("2|gtop|k10", Scope::Fleet, "the fleet-wide body"),
+            ("1|top|s0|k5", Scope::Shard(0), "shard zero"),
+            ("1|top|s1|k5", Scope::Shard(1), "shard one's body"),
+        ];
+        for (k, scope, body) in stored {
+            let k = key(k);
+            let Admission::Lead(flight) = cache.admit(&k) else {
+                panic!("fresh key must lead")
+            };
+            cache.finish(&k, &flight, Some((entry(body), scope, live(scope))), live, &metrics);
+        }
+        let cost = |(k, _, body): (&str, Scope, &str)| entry(body).cost(k) as u64;
+        assert_eq!(metrics.cache_resident_bytes(), stored.into_iter().map(cost).sum::<u64>());
+
+        // Nothing moved: the purge frees nothing, and runs once.
+        cache.purge_retired(live(Scope::Fleet), live, &metrics);
+        assert_eq!(metrics.cache_retired_total(), 0);
+
+        // Shard 1 reloads: its entry and the fleet-scope entry retire,
+        // shard 0's survives.
+        shard_epochs[1].fetch_add(1, Ordering::SeqCst);
+        cache.purge_retired(live(Scope::Fleet), live, &metrics);
+        assert_eq!(metrics.cache_retired_total(), 2);
+        assert_eq!(metrics.cache_evictions_total(), 0, "retirement is not byte pressure");
+        assert_eq!(metrics.cache_resident_bytes(), cost(stored[1]));
+        assert_eq!(cache.resident_bytes() as u64, cost(stored[1]));
+        assert!(metrics.render().contains("pipefail_cache_retired_total 2\n"));
+
+        // A second look at the same generation does not walk again.
+        cache.purge_retired(live(Scope::Fleet), |_| u64::MAX, &metrics);
+        assert_eq!(metrics.cache_retired_total(), 2);
+
+        assert!(matches!(cache.admit(&key("1|top|s0|k5")), Admission::Hit(_)));
+        for retired in ["2|gtop|k10", "1|top|s1|k5"] {
+            assert!(matches!(cache.admit(&key(retired)), Admission::Lead(_)), "{retired}");
+        }
+    }
+
+    #[test]
+    fn a_store_that_raced_an_epoch_change_is_refused() {
+        let cache = ResultCache::new(1 << 20);
+        let metrics = Metrics::new();
+        let k = key("1|top|s0|k5");
+        let Admission::Lead(flight) = cache.admit(&k) else {
+            panic!("fresh key must lead")
+        };
+        // Computed under epoch 1, but the shard is at 2 by store time.
+        cache.finish(&k, &flight, Some((entry("old"), Scope::Shard(0), 1)), |_| 2, &metrics);
+        assert_eq!(cache.resident_bytes(), 0);
+        assert_eq!(metrics.cache_resident_bytes(), 0);
+        // Waiters still get the leader's body: they asked under epoch 1.
+        assert!(matches!(flight.wait(Duration::from_secs(1)), Some(Some(_))));
     }
 
     #[test]
@@ -737,7 +903,7 @@ mod tests {
             .collect();
         // Let the waiters pile onto the flight, then publish once.
         std::thread::sleep(Duration::from_millis(20));
-        cache.finish(&k, &flight, Some(entry("the body")), &metrics);
+        cache.finish(&k, &flight, Some((entry("the body"), TAG.0, TAG.1)), |_| TAG.1, &metrics);
         for w in waiters {
             assert_eq!(w.join().unwrap(), "the body");
         }
@@ -755,7 +921,7 @@ mod tests {
             Admission::Join(f) => f,
             _ => panic!("second admit must join"),
         };
-        cache.finish(&k, &flight, None, &metrics);
+        cache.finish(&k, &flight, None, |_| TAG.1, &metrics);
         assert!(matches!(joined.wait(Duration::from_secs(1)), Some(None)));
         // Nothing stored; the next admit leads again.
         assert!(matches!(cache.admit(&k), Admission::Lead(_)));

@@ -144,6 +144,9 @@ pub struct Metrics {
     cache_misses: AtomicU64,
     /// Entries evicted past the cache byte budget (LRU order).
     cache_evictions: AtomicU64,
+    /// Entries purged because their key's epoch was retired by a swap,
+    /// degrade, heal, or backend change (never byte pressure).
+    cache_retired: AtomicU64,
     /// Requests that blocked on another request's identical in-flight
     /// miss and reused its body instead of recomputing.
     cache_coalesced_waits: AtomicU64,
@@ -397,6 +400,18 @@ impl Metrics {
         self.cache_evictions.load(Ordering::Relaxed)
     }
 
+    /// Record `n` entries purged under a retired epoch.
+    pub fn cache_retired(&self, n: u64) {
+        if n > 0 {
+            self.cache_retired.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    /// Retired-epoch purges so far.
+    pub fn cache_retired_total(&self) -> u64 {
+        self.cache_retired.load(Ordering::Relaxed)
+    }
+
     /// Record one request coalesced onto another's in-flight miss.
     pub fn cache_coalesced(&self) {
         self.cache_coalesced_waits.fetch_add(1, Ordering::Relaxed);
@@ -562,6 +577,11 @@ impl Metrics {
         out.push_str(&format!(
             "pipefail_cache_evictions_total {}\n",
             self.cache_evictions_total()
+        ));
+        out.push_str("# TYPE pipefail_cache_retired_total counter\n");
+        out.push_str(&format!(
+            "pipefail_cache_retired_total {}\n",
+            self.cache_retired_total()
         ));
         out.push_str("# TYPE pipefail_cache_coalesced_waits_total counter\n");
         out.push_str(&format!(

@@ -124,6 +124,11 @@ impl<'a> RiskSlice<'a> {
     pub fn to_vec(&self) -> Vec<PipeRisk> {
         self.iter().collect()
     }
+
+    /// The score column, in rank order.
+    pub(crate) fn scores(&self) -> &'a [f64] {
+        self.scores
+    }
 }
 
 /// Iterator over a [`RiskSlice`], yielding [`PipeRisk`] by value.
@@ -184,7 +189,7 @@ pub struct AttributesView<'a> {
     laid_year: &'a [f64],
 }
 
-impl AttributesView<'_> {
+impl<'a> AttributesView<'a> {
     /// Number of described pipes (always the ranking length).
     pub fn len(&self) -> usize {
         self.length_m.len()
@@ -213,6 +218,12 @@ impl AttributesView<'_> {
     /// Construction year of the pipe at rank `i`.
     pub fn laid_year(&self, i: usize) -> i32 {
         self.laid_year[i] as i32
+    }
+
+    /// The raw `(length_m, material, laid_year)` columns in rank order,
+    /// for kernels that walk every pipe.
+    pub(crate) fn columns(&self) -> (&'a [f64], &'a [f64], &'a [f64]) {
+        (self.length_m, self.material, self.laid_year)
     }
 }
 

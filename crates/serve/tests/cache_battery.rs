@@ -347,6 +347,9 @@ fn no_stale_epoch_body_across_rename_reload_and_degrade_heal() {
     assert_eq!(warm.body, ref_a1);
     let etag_a1 = warm.header("etag").expect("validator").to_string();
     assert_eq!(conn.get("/top?region=region_a&k=5").body, ref_a1);
+    // Resident now: region A's first-epoch entry and region B's entry.
+    assert_eq!(get_once(addr, "/top?region=region_b&k=5").body, ref_b);
+    let resident_warm = metric(addr, "pipefail_cache_resident_bytes");
 
     // --- Atomic rename reload -------------------------------------------
     let tmp = dir.join("region_a.pfsnap.tmp");
@@ -422,12 +425,26 @@ fn no_stale_epoch_body_across_rename_reload_and_degrade_heal() {
         "hit rate did not recover after heal: {hits_before} -> {hits_after}"
     );
 
+    // No entry keyed under a retired epoch stays resident: the first and
+    // reloaded region A bodies were purged when the epoch moved, so the
+    // resident set is again one region A entry (now the healed body) plus
+    // region B's. The slack covers the longer hex epoch in the new key.
+    let resident = metric(addr, "pipefail_cache_resident_bytes");
+    let expected = resident_warm as usize - ref_a1.len() + ref_a3.len();
+    assert!(
+        resident as usize <= expected + 16,
+        "retired-epoch entries still resident: {resident} bytes vs {expected} live \
+         ({} purged)",
+        metric(addr, "pipefail_cache_retired_total")
+    );
+
     // All cache series are exposed.
     let exposition = get_once(addr, "/metrics").body;
     for series in [
         "pipefail_cache_hits_total",
         "pipefail_cache_misses_total",
         "pipefail_cache_evictions_total",
+        "pipefail_cache_retired_total",
         "pipefail_cache_coalesced_waits_total",
         "pipefail_cache_resident_bytes",
     ] {
