@@ -36,10 +36,11 @@
 //! byte-identical bodies (pinned by the e2e battery); the deltas are pure
 //! fan-out and wire cost.
 //!
-//! The `aggregate/kernel/{100k,1M,budget_100k}` entries time the same
-//! pipeline's compute kernel in process, with no socket or task pool in
-//! the loop (see [`bench_aggregate_kernel`]), so the `serve/aggregate/*`
-//! end-to-end numbers split into kernel and serving overhead.
+//! The `aggregate/kernel/*` entries (`100k`, `1M`, `{region,material,
+//! decade}_100k`, `budget_100k`) time the same pipeline's compute kernel
+//! in process, with no socket or task pool in the loop (see
+//! [`bench_aggregate_kernel`]), so the `serve/aggregate/*` end-to-end
+//! numbers split into kernel and serving overhead.
 //!
 //! The `scorer/risk_of_100k` entry times in-process `/pipe` point lookups
 //! against the 100k-pipe table — the binary-searched id→rank index built
@@ -550,12 +551,18 @@ fn bench_aggregate(c: &mut Criterion) {
 /// The `/aggregate` compute kernel without sockets or the task pool:
 /// `aggregate::execute` (per-shard partials, merge, render) over in-memory
 /// scorers. `kernel/{100k,1M}` run the material × decade scan over one
-/// table; `kernel/budget_100k` runs the per-shard budget walk and the
-/// global greedy over the 8-shard split of the same 100k pipes, with a
-/// budget of 5% of the network length.
+/// table and `kernel/{region,material,decade}_100k` the one-key scans of
+/// the 100k table; every scan reuses the table's group codes, derived by
+/// the warm-up. `kernel/budget_100k` runs the per-shard budget walk and
+/// the global greedy over the 8-shard split of the same 100k pipes, with
+/// a budget of 5% of the network length.
 fn bench_aggregate_kernel(c: &mut Criterion) {
     const SPEC: &str = "{\"group_by\":[\"material\",\"decade\"],\"aggregates\":[{\"op\":\"count\"},{\"op\":\"sum\",\"field\":\"length_m\"},{\"op\":\"avg\",\"field\":\"risk\"}]}";
     let scan = AggregateSpec::parse(SPEC).expect("valid spec");
+    let one_key = |key: &str| {
+        AggregateSpec::parse(&SPEC.replace("\"material\",\"decade\"", &format!("\"{key}\"")))
+            .expect("valid spec")
+    };
     let per_shard = TOTAL_PIPES / SHARDS;
     let shards: Vec<Scorer> = (0..SHARDS).map(|s| shard_scorer(s, per_shard)).collect();
     let network_m: f64 = shards
@@ -573,6 +580,13 @@ fn bench_aggregate_kernel(c: &mut Criterion) {
         let table = [scorer(n)];
         g.bench_function(format!("kernel/{label}"), |b| {
             b.iter(|| black_box(aggregate::execute(&scan, &table).expect("kernel").len()))
+        });
+    }
+    let table = [scorer(TOTAL_PIPES)];
+    for key in ["region", "material", "decade"] {
+        let spec = one_key(key);
+        g.bench_function(format!("kernel/{key}_100k"), |b| {
+            b.iter(|| black_box(aggregate::execute(&spec, &table).expect("kernel").len()))
         });
     }
     g.bench_function("kernel/budget_100k", |b| {

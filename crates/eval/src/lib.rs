@@ -10,7 +10,7 @@
 //!   latter reported in basis points ‱), plus the classical Mann–Whitney
 //!   AUC;
 //! * [`significance`] — seeded replicate runs and one-sided paired t-tests
-//!   (Table 18.4), parallelised across replicates with scoped threads;
+//!   (Table 18.4), parallelised across replicates on the task pool;
 //! * [`runner`] — one entry point that fits every compared model on every
 //!   region and collects curves/AUCs (Fig 18.7, Table 18.3);
 //! * [`svg`] / [`riskmap`] — dependency-free SVG rendering of network maps

@@ -8,28 +8,45 @@
 //! # Determinism contract
 //!
 //! The pool never makes scheduling visible to the tasks. Work is split into
-//! static contiguous chunks (no work stealing, no shared queues), each task
-//! sees only its index, and results land in a pre-allocated slot vector, so
-//! for any **pure** task function the output `Vec` is byte-identical at any
-//! thread count. Randomised callers keep the guarantee by deriving a
-//! per-index seed (`pipefail_stats::rng::derive_seed`) from a master seed —
-//! never by sharing an RNG across tasks.
+//! static contiguous chunks (no work stealing between chunks), each task
+//! sees only its index, and each chunk's results land in that chunk's own
+//! slot, so for any **pure** task function the output `Vec` is
+//! byte-identical at any thread count. Randomised callers keep the
+//! guarantee by deriving a per-index seed
+//! (`pipefail_stats::rng::derive_seed`) from a master seed — never by
+//! sharing an RNG across tasks.
+//!
+//! # Workers
+//!
+//! A [`TaskPool`] is only a partition width. The threads that run chunks
+//! are process-wide and persistent: they start lazily, the first time a
+//! fan-out needs one, and never exceed `available_parallelism`, however
+//! wide the pools that callers build. A `run` call pushes its chunks onto
+//! the shared queue, runs chunk 0 on the calling thread, then claims its
+//! own still-unclaimed chunks until none are left and waits for the rest.
+//! Because a caller can always run its own chunks, a task that calls `run`
+//! again (nested fan-out) cannot deadlock, even with every worker busy. A
+//! width above the worker count still partitions into that many chunks;
+//! at most `available_parallelism + 1` of them run at once.
 //!
 //! Thread count comes from `TaskPool::new` or the `PIPEFAIL_THREADS`
 //! environment variable (`from_env`); `0`/unset/unparsable means "use the
 //! machine's available parallelism". `threads == 1` short-circuits to a
-//! plain serial loop on the calling thread, which is also the fallback if
-//! thread spawning is unavailable.
+//! plain serial loop on the calling thread; if a worker cannot be started,
+//! the caller runs the chunks that no worker claims.
 
+use std::any::Any;
+use std::collections::VecDeque;
 use std::num::NonZeroUsize;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// A fixed-width pool that fans indexed tasks over scoped threads.
+/// A fixed-width partition of indexed tasks over the process-wide workers.
 ///
-/// Cheap to construct (no threads live between calls — each [`run`] spawns
-/// scoped workers and joins them before returning), so callers can freely
-/// create one per call site or thread a copy through configuration structs.
-///
-/// [`run`]: TaskPool::run
+/// Cheap to construct and `Copy` (it owns no threads; see the module docs),
+/// so callers can freely create one per call site or thread a copy through
+/// configuration structs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskPool {
     threads: usize,
@@ -58,7 +75,7 @@ impl TaskPool {
     }
 
     /// Serial pool: every task runs on the calling thread, in index order.
-    pub fn serial() -> Self {
+    pub const fn serial() -> Self {
         Self { threads: 1 }
     }
 
@@ -81,39 +98,37 @@ impl TaskPool {
     /// order. `task` must be pure in `i` for the determinism contract to
     /// hold (same inputs → same output regardless of thread count).
     ///
-    /// Panics in a task are propagated to the caller after all workers have
-    /// been joined (scoped threads re-raise the first worker panic).
+    /// A panic in a task is re-raised on the caller once every chunk has
+    /// finished (the first chunk to panic wins), and the workers stay
+    /// usable.
     pub fn run<T, F>(&self, n: usize, task: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        let workers = self.threads.min(n.max(1));
-        if workers <= 1 || n <= 1 {
+        let width = self.threads.min(n.max(1));
+        if width <= 1 || n <= 1 {
             return (0..n).map(task).collect();
         }
 
-        let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        // Static contiguous partitioning: worker t owns slots
-        // [t*chunk, (t+1)*chunk). No queue, no stealing — the assignment of
-        // index to worker is a pure function of (n, workers), and the output
-        // position is a pure function of the index alone.
-        let chunk = n.div_ceil(workers);
-        let task = &task;
-        std::thread::scope(|scope| {
-            for (t, slot_chunk) in slots.chunks_mut(chunk).enumerate() {
-                scope.spawn(move || {
-                    for (i, slot) in slot_chunk.iter_mut().enumerate() {
-                        *slot = Some(task(t * chunk + i));
-                    }
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.expect("scope joined: every slot filled"))
-            .collect()
+        // Static contiguous partitioning: chunk c owns indices
+        // [c*chunk, (c+1)*chunk). Which thread runs a chunk is not
+        // observable — its results land in its own slot, and the slots are
+        // concatenated in chunk order.
+        let chunk = n.div_ceil(width);
+        let chunks = n.div_ceil(chunk);
+        let slots: Vec<Mutex<Vec<T>>> = (0..chunks).map(|_| Mutex::new(Vec::new())).collect();
+        let run_chunk = |c: usize| {
+            let out: Vec<T> = (c * chunk..n.min((c + 1) * chunk)).map(&task).collect();
+            *lock(&slots[c]) = out;
+        };
+        fan_out(&run_chunk, chunks);
+
+        let mut out = Vec::with_capacity(n);
+        for slot in slots {
+            out.append(&mut slot.into_inner().unwrap_or_else(PoisonError::into_inner));
+        }
+        out
     }
 
     /// Like [`run`](TaskPool::run) but for fallible tasks: returns the first
@@ -133,10 +148,204 @@ impl TaskPool {
     }
 }
 
+/// Lock `m`, ignoring poison: every critical section in this crate leaves
+/// its data valid at every step, and task panics are caught before they
+/// can unwind through a guard.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The chunk runner of one `run` call, with its borrow lifetime erased so
+/// the `'static` workers can hold it.
+type ChunkFn<'a> = dyn Fn(usize) + Sync + 'a;
+
+/// One `run` call's chunks and the bookkeeping its caller waits on. Shared
+/// by `Arc` between the caller and every queue entry, so the counters
+/// outlive any worker that still touches them; only `task` borrows from
+/// the caller's stack.
+struct Job {
+    /// The caller's chunk runner. Dereferenced only while running a chunk
+    /// claimed from `next`, and the caller does not return before every
+    /// claimed chunk has finished (see [`fan_out`]).
+    task: *const ChunkFn<'static>,
+    chunks: usize,
+    /// The next unclaimed chunk; chunk 0 is the caller's.
+    next: AtomicUsize,
+    state: Mutex<JobState>,
+    finished: Condvar,
+}
+
+struct JobState {
+    /// Chunks not yet finished.
+    unfinished: usize,
+    /// The first panic any chunk raised, re-raised on the caller.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+// SAFETY: `task` points to a `Sync` closure, so sharing and calling it from
+// any thread is sound while it lives; `fan_out` keeps it alive until no
+// thread can claim another chunk and every claimed chunk has finished. The
+// other fields are atomics and mutex-guarded state, themselves `Send` and
+// `Sync` (the panic payload is `Send`).
+unsafe impl Send for Job {}
+// SAFETY: as for `Send` above.
+unsafe impl Sync for Job {}
+
+impl Job {
+    /// Claim and run chunks until none are left unclaimed.
+    fn drain(&self) {
+        loop {
+            // A claim publishes no data: the job reached this thread
+            // through the queue mutex, and results go back through the
+            // `state` mutex.
+            let c = self.next.fetch_add(1, Ordering::Relaxed);
+            if c >= self.chunks {
+                return;
+            }
+            self.run_chunk(c);
+        }
+    }
+
+    /// Run chunk `c`, catching a panic, and count it finished.
+    fn run_chunk(&self, c: usize) {
+        // SAFETY: chunk `c` was claimed exactly once (from `next`, or as the
+        // caller's chunk 0) and is not yet counted finished, so the caller is
+        // still blocked in `fan_out` and the closure `task` points to is
+        // alive.
+        let task = unsafe { &*self.task };
+        let result = panic::catch_unwind(AssertUnwindSafe(|| task(c)));
+        let mut state = lock(&self.state);
+        if let Err(payload) = result {
+            state.panic.get_or_insert(payload);
+        }
+        state.unfinished -= 1;
+        if state.unfinished == 0 {
+            self.finished.notify_all();
+        }
+    }
+}
+
+/// Run chunks `0..chunks` of `task`: offer chunks 1.. to the workers, run
+/// chunk 0 here, claim whatever the workers have not, wait for the rest,
+/// then re-raise the first panic. Returns (or unwinds) only when every
+/// chunk has finished, which is what lets the workers borrow `task`.
+fn fan_out(task: &ChunkFn<'_>, chunks: usize) {
+    // SAFETY: only the lifetime changes (same fat-pointer layout). The
+    // erased pointer is dereferenced only in `Job::run_chunk` on a claimed,
+    // unfinished chunk, and this function does not return until every
+    // chunk has finished, so no dereference outlives the borrow.
+    let task = unsafe { std::mem::transmute::<*const ChunkFn<'_>, *const ChunkFn<'static>>(task) };
+    let job = Arc::new(Job {
+        task,
+        chunks,
+        next: AtomicUsize::new(1),
+        state: Mutex::new(JobState {
+            unfinished: chunks,
+            panic: None,
+        }),
+        finished: Condvar::new(),
+    });
+    workers().offer(&job, chunks - 1);
+    job.run_chunk(0);
+    job.drain();
+    let mut state = lock(&job.state);
+    while state.unfinished > 0 {
+        state = job
+            .finished
+            .wait(state)
+            .unwrap_or_else(PoisonError::into_inner);
+    }
+    if let Some(payload) = state.panic.take() {
+        drop(state);
+        panic::resume_unwind(payload);
+    }
+}
+
+/// The process-wide workers and their queue.
+struct Workers {
+    queue: Mutex<Queue>,
+    ready: Condvar,
+    cap: usize,
+}
+
+struct Queue {
+    /// One entry per offered chunk; an entry whose job has no unclaimed
+    /// chunk left is dropped when popped.
+    jobs: VecDeque<Arc<Job>>,
+    started: usize,
+    idle: usize,
+}
+
+fn workers() -> &'static Workers {
+    static WORKERS: OnceLock<Workers> = OnceLock::new();
+    WORKERS.get_or_init(|| Workers {
+        queue: Mutex::new(Queue {
+            jobs: VecDeque::new(),
+            started: 0,
+            idle: 0,
+        }),
+        ready: Condvar::new(),
+        cap: available(),
+    })
+}
+
+impl Workers {
+    /// Queue `extra` entries for `job` and wake (or start, up to the cap)
+    /// enough workers to take them.
+    fn offer(&'static self, job: &Arc<Job>, extra: usize) {
+        let mut queue = lock(&self.queue);
+        let grow = extra
+            .saturating_sub(queue.idle)
+            .min(self.cap - queue.started);
+        for _ in 0..grow {
+            let spawned = std::thread::Builder::new()
+                .name(format!("pipefail-par-{}", queue.started))
+                .spawn(move || self.work());
+            if spawned.is_err() {
+                break;
+            }
+            queue.started += 1;
+        }
+        if queue.started == 0 {
+            // No worker could start: the caller claims every chunk, and
+            // entries nobody pops must not pile up.
+            return;
+        }
+        queue.jobs.extend(std::iter::repeat_n(job, extra).cloned());
+        let wake = extra.min(queue.idle);
+        drop(queue);
+        for _ in 0..wake {
+            self.ready.notify_one();
+        }
+    }
+
+    /// A worker's life: take the next entry, drain its job, repeat. The
+    /// thread is never joined; it parks on `ready` between fan-outs for
+    /// the rest of the process.
+    fn work(&self) {
+        loop {
+            let job = {
+                let mut queue = lock(&self.queue);
+                loop {
+                    if let Some(job) = queue.jobs.pop_front() {
+                        break job;
+                    }
+                    queue.idle += 1;
+                    queue = self
+                        .ready
+                        .wait(queue)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    queue.idle -= 1;
+                }
+            };
+            job.drain();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn serial_matches_map() {
@@ -218,6 +427,70 @@ mod tests {
             })
         });
         assert!(caught.is_err());
+    }
+
+    #[test]
+    fn a_panic_waits_for_every_chunk_and_leaves_the_pool_usable() {
+        // One task per chunk. Chunk 0 runs on the caller; the others on
+        // workers or the caller. The healthy tasks are slow, so a panic
+        // re-raised before they finish would show in the count.
+        for bad in [0, 1, 3] {
+            let finished = AtomicUsize::new(0);
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                TaskPool::new(4).run(4, |i| {
+                    assert_ne!(i, bad, "boom");
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    finished.fetch_add(1, Ordering::SeqCst);
+                })
+            }));
+            let payload = caught.expect_err("the task panic reaches the caller");
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .unwrap_or("");
+            assert!(message.contains("boom"), "{message:?}");
+            // Re-raised only after every other task ran to completion.
+            assert_eq!(finished.load(Ordering::SeqCst), 3);
+            assert_eq!(
+                TaskPool::new(4).run(9, |i| i * 2),
+                (0..9).map(|i| i * 2).collect::<Vec<_>>()
+            );
+        }
+    }
+
+    #[test]
+    fn concurrent_callers_share_the_workers() {
+        // Several callers fan out at once, each also nesting, so the queue
+        // interleaves entries of many jobs.
+        std::thread::scope(|scope| {
+            for caller in 0..4usize {
+                scope.spawn(move || {
+                    for round in 0..200 {
+                        let pool = TaskPool::new(1 + (caller + round) % 4);
+                        let got = pool.run(7, |i| pool.run(3, |j| caller + round + i + j));
+                        let want: Vec<Vec<usize>> = (0..7)
+                            .map(|i| (0..3).map(|j| caller + round + i + j).collect())
+                            .collect();
+                        assert_eq!(got, want);
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn nested_runs_complete_at_every_width() {
+        let want: Vec<usize> = (0..12).map(|i| (0..6).map(|j| i * 10 + j).sum()).collect();
+        for width in 1..=4 {
+            let pool = TaskPool::new(width);
+            let got = pool.run(12, |i| {
+                // A third level, so tasks on workers fan out from workers.
+                pool.run(6, |j| pool.run(1, |_| i * 10 + j)[0])
+                    .into_iter()
+                    .sum::<usize>()
+            });
+            assert_eq!(got, want, "width {width}");
+        }
     }
 
     #[test]

@@ -931,6 +931,44 @@ impl Dims {
 /// distinct codes instead, so memory stays bounded by the pipe count.
 const DENSE_SLOTS: u64 = 4096;
 
+// A dense decade span always fits the `u16` decade code column.
+const _: () = assert!(DENSE_SLOTS <= 1 << 16);
+
+/// A snapshot's attribute columns as integer group codes, in rank order:
+/// what a full scan groups by, converted once per snapshot instead of once
+/// per request. [`Scorer::group_codes`] derives them on the first scan
+/// that groups by material or decade and keeps them with the snapshot's
+/// columns, so they are dropped with that snapshot's scorer.
+#[derive(Debug)]
+pub(crate) struct GroupCodes {
+    /// Each pipe's index into `Material::ALL`.
+    material: Vec<u8>,
+    /// The smallest and largest construction year; `None` for an empty
+    /// snapshot.
+    years: Option<(i32, i32)>,
+    /// Each pipe's `year.div_euclid(10)` minus the smallest; `None` when
+    /// the decade span does not fit a `u16` (such a span is never dense).
+    decade: Option<Vec<u16>>,
+}
+
+impl GroupCodes {
+    /// Derive the codes from the `(material, laid_year)` columns.
+    pub(crate) fn derive(material: &[f64], laid_year: &[f64]) -> Self {
+        let years = year_range(laid_year.iter().map(|&y| y as i32));
+        let min_decade = years.map_or(0, |(lo, _)| lo.div_euclid(10));
+        let fits = years.is_none_or(|(_, hi)| {
+            i64::from(hi.div_euclid(10)) - i64::from(min_decade) <= i64::from(u16::MAX)
+        });
+        Self {
+            material: material.iter().map(|&m| m as u8).collect(),
+            years,
+            decade: fits.then(|| {
+                laid_year.iter().map(|&y| ((y as i32).div_euclid(10) - min_decade) as u16).collect()
+            }),
+        }
+    }
+}
+
 /// How a [`GroupCode`] maps to an accumulator slot.
 enum Layout {
     /// `((region × materials) + material) × span + (decade − min_decade)`.
@@ -987,25 +1025,60 @@ impl Accumulator {
         self.states[slot].add(risk, len);
     }
 
-    /// [`Accumulator::add`] for a whole table in rank order: pipe `i` has
-    /// `code(i)`, `scores[i]`, and `length(i)`. A single group keeps its
-    /// state in registers; otherwise every slot is computed first, so the
-    /// slot arithmetic stays off the accumulation's dependency chains.
+    /// [`Accumulator::add`] for a whole one-region table in rank order, in
+    /// one pass over `scores` and `lengths` (empty: every length is 0). A
+    /// single group keeps its state in registers. A dense layout reads
+    /// each pipe's slot straight from the snapshot's code columns
+    /// (`codes`, present whenever the spec groups by material or decade);
+    /// an interned one searches `code(i)`.
     fn add_ranked(
         &mut self,
+        dims: Dims,
+        codes: Option<&GroupCodes>,
         code: impl Fn(usize) -> GroupCode,
         scores: &[f64],
-        length: impl Fn(usize) -> f64,
+        lengths: &[f64],
     ) {
+        fn fold(
+            states: &mut [GroupState],
+            scores: &[f64],
+            lengths: &[f64],
+            slot: impl Fn(usize) -> usize,
+        ) {
+            let lengths = &lengths[..scores.len()];
+            for (i, (&score, &len)) in scores.iter().zip(lengths).enumerate() {
+                states[slot(i)].add(score, len);
+            }
+        }
         if let [only] = self.states.as_mut_slice() {
-            for (i, &score) in scores.iter().enumerate() {
-                only.add(score, length(i));
+            if lengths.is_empty() {
+                scores.iter().for_each(|&score| only.add(score, 0.0));
+            } else {
+                scores.iter().zip(lengths).for_each(|(&score, &len)| only.add(score, len));
             }
             return;
         }
-        let slots: Vec<u32> = (0..scores.len()).map(|i| self.slot(code(i)) as u32).collect();
-        for (i, (&score, &slot)) in scores.iter().zip(&slots).enumerate() {
-            self.states[slot as usize].add(score, length(i));
+        let Layout::Dense { span, .. } = self.layout else {
+            for (i, &score) in scores.iter().enumerate() {
+                self.add(code(i), score, lengths[i]);
+            }
+            return;
+        };
+        let codes = codes.expect("a grouped scan reads attribute codes");
+        let n = scores.len();
+        let material = &codes.material[..n];
+        let decade: &[u16] = if dims.decade {
+            &codes.decade.as_deref().expect("a dense decade span fits u16")[..n]
+        } else {
+            &[]
+        };
+        let states = self.states.as_mut_slice();
+        match (dims.material, dims.decade) {
+            (true, false) => fold(states, scores, lengths, |i| usize::from(material[i])),
+            (false, true) => fold(states, scores, lengths, |i| usize::from(decade[i])),
+            _ => fold(states, scores, lengths, |i| {
+                usize::from(material[i]) * span + usize::from(decade[i])
+            }),
         }
     }
 
@@ -1082,39 +1155,51 @@ pub(crate) fn shard_partial(
         return Err(AggregateError::NoAttributes);
     }
     let region = region_key(scorer.region());
-    let scores = scorer.top_k(usize::MAX).scores();
-    // Empty without attributes; `needs_attributes` guarantees they exist
-    // whenever a length, material, or year is read below.
-    let (lengths, materials, years) = attrs.map_or((&[][..], &[][..], &[][..]), |a| a.columns());
-
-    if let Some(budget) = spec.budget_length_m {
-        let mut candidates = Vec::new();
-        let mut cumulative = 0.0f64;
-        for (i, &score) in scores.iter().enumerate() {
-            let candidate = Candidate {
-                score,
-                length_m: lengths[i],
-                material: materials[i] as u8,
-                laid_year: years[i] as i32,
-                region: 0,
-            };
-            candidates.push(candidate);
-            if cumulative + candidate.length_m > budget {
-                // The sentinel: first pipe past the shard-local budget
-                // prefix. It always overflows globally too, so the greedy
-                // stops on it; it is never selected.
-                break;
-            }
-            cumulative += candidate.length_m;
-        }
+    let Some(budget) = spec.budget_length_m else {
         return Ok(AggregatePartial {
-            groups: Vec::new(),
-            regions: vec![region],
-            candidates: Some(candidates),
+            groups: scan(spec, scorer).into_rows(spec, &[region.as_str()]),
+            regions: Vec::new(),
+            candidates: None,
         });
-    }
+    };
 
+    let scores = scorer.top_k(usize::MAX).scores();
+    let (lengths, materials, years) = attrs.expect("budget specs need attributes").columns();
+    let mut candidates = Vec::new();
+    let mut cumulative = 0.0f64;
+    for (i, &score) in scores.iter().enumerate() {
+        let candidate = Candidate {
+            score,
+            length_m: lengths[i],
+            material: materials[i] as u8,
+            laid_year: years[i] as i32,
+            region: 0,
+        };
+        candidates.push(candidate);
+        if cumulative + candidate.length_m > budget {
+            // The sentinel: first pipe past the shard-local budget
+            // prefix. It always overflows globally too, so the greedy
+            // stops on it; it is never selected.
+            break;
+        }
+        cumulative += candidate.length_m;
+    }
+    Ok(AggregatePartial { groups: Vec::new(), regions: vec![region], candidates: Some(candidates) })
+}
+
+/// One scorer's groups for a grouped (budget-less) spec: every pipe folded
+/// in rank order. The region is the scorer's own, so only material and
+/// decade pick the group. The scorer has the attributes `spec` needs.
+fn scan(spec: &AggregateSpec, scorer: &Scorer) -> Accumulator {
     let dims = Dims::of(spec);
+    let scores = scorer.top_k(usize::MAX).scores();
+    // Empty without attributes; the spec then reads no length, material,
+    // or year.
+    let (lengths, materials, years) =
+        scorer.attributes().map_or((&[][..], &[][..], &[][..]), |a| a.columns());
+    let codes = if dims.material || dims.decade { scorer.group_codes() } else { None };
+    // Only an interned layout reads the raw columns; a dense one reads
+    // `codes`.
     let code = |i: usize| {
         let material = if dims.material { materials[i] as u8 } else { 0 };
         let year = if dims.decade { years[i] as i32 } else { 0 };
@@ -1123,15 +1208,11 @@ pub(crate) fn shard_partial(
     let mut groups = Accumulator::new(
         1,
         if dims.material { Material::ALL.len() } else { 1 },
-        dims.decade.then(|| year_range(years.iter().map(|&y| y as i32))).flatten(),
+        if dims.decade { codes.and_then(|c| c.years) } else { None },
         || (0..scores.len()).map(code),
     );
-    groups.add_ranked(code, scores, |i| lengths.get(i).copied().unwrap_or(0.0));
-    Ok(AggregatePartial {
-        groups: groups.into_rows(spec, &[region.as_str()]),
-        regions: Vec::new(),
-        candidates: None,
-    })
+    groups.add_ranked(dims, codes, code, scores, lengths);
+    groups
 }
 
 /// Answer `spec` over `scorers` in process, without a server: the body a
@@ -1714,6 +1795,12 @@ mod tests {
     /// A shard from `(score, length, material, year)` rows (any order; the
     /// ranking sorts them by descending score, stably).
     fn attribute_shard(region: &str, rows: &[(f64, f64, u8, i32)]) -> Scorer {
+        shard_from_rows(region, rows, true)
+    }
+
+    /// [`attribute_shard`], or with `attrs` false the same ranking without
+    /// an attribute section.
+    fn shard_from_rows(region: &str, rows: &[(f64, f64, u8, i32)], attrs: bool) -> Scorer {
         let mut rows = rows.to_vec();
         rows.sort_by(|a, b| b.0.total_cmp(&a.0));
         let ranking = RiskRanking::new(
@@ -1723,11 +1810,13 @@ mod tests {
                 .collect(),
         );
         let mut snap = Snapshot::new("DPMHBP", region, 7, &ranking);
-        snap.push_section(attributes_section(
-            rows.iter().map(|r| r.1).collect(),
-            rows.iter().map(|r| f64::from(r.2)).collect(),
-            rows.iter().map(|r| f64::from(r.3)).collect(),
-        ));
+        if attrs {
+            snap.push_section(attributes_section(
+                rows.iter().map(|r| r.1).collect(),
+                rows.iter().map(|r| f64::from(r.2)).collect(),
+                rows.iter().map(|r| f64::from(r.3)).collect(),
+            ));
+        }
         Scorer::new(snap)
     }
 
@@ -2134,6 +2223,37 @@ mod tests {
     }
 
     #[test]
+    fn scans_leave_the_code_columns_exactly_past_dense_slots() {
+        // (group_by, decade span) on each side of DENSE_SLOTS: 4096 decade
+        // slots alone, 9 materials × 455 = 4095 (and × 456 = 4104), and a
+        // span too wide for the u16 decade codes.
+        let cases = [
+            ("decade", 4096, true),
+            ("decade", 4097, false),
+            ("material\",\"decade", 455, true),
+            ("material\",\"decade", 456, false),
+            ("decade", 70_000, false),
+        ];
+        for (keys, span, dense) in cases {
+            let last = 1850 + (span - 1) * 10;
+            let rows: Vec<(f64, f64, u8, i32)> = (0..40)
+                .map(|i| (1.0 - f64::from(i) / 64.0, f64::from(i % 5) * 2.5, (i % 9) as u8, 1850))
+                .chain([(0.2, -0.0, 3, last), (0.1, 7.5, 8, last - 10)])
+                .collect();
+            let shard = attribute_shard("Region A", &rows);
+            let spec = spec_json(&format!(
+                r#"{{"group_by":["{keys}"],"aggregates":[{{"op":"count"}},{{"op":"sum","field":"length_m"}},{{"op":"min","field":"risk"}}]}}"#
+            ));
+            let layout = scan(&spec, &shard).layout;
+            assert_eq!(matches!(layout, Layout::Dense { .. }), dense, "{keys} over {span} decades");
+            let codes = shard.group_codes().expect("attributes");
+            assert_eq!(codes.decade.is_some(), span <= 1 << 16, "{span} decades");
+            let body = execute(&spec, std::slice::from_ref(&shard)).expect("kernel");
+            assert_eq!(body, string_keyed_reference(&spec, &[shard]), "{keys} over {span} decades");
+        }
+    }
+
+    #[test]
     fn first_pipe_into_an_empty_group_matches_a_seeded_group_bit_for_bit() {
         let bits = |g: &GroupState| {
             [g.sum_risk, g.min_risk, g.max_risk, g.sum_len, g.min_len, g.max_len].map(f64::to_bits)
@@ -2177,9 +2297,13 @@ mod tests {
         /// range from real construction years through negative years and
         /// spans wide enough to force the interning fallback to
         /// `i32::MIN`/`i32::MAX`, with `-0.0` scores and lengths, every
-        /// group-key subset and order, grouped and budget specs. Checked
-        /// through the in-process merge, through each partial's wire round
-        /// trip, and with a run of shards first collapsed by
+        /// group-key subset and order, grouped and budget specs. One case
+        /// in four reads no attribute (region-keyed, risk-only columns),
+        /// and then some shards carry no attribute section at all. Each
+        /// grouped scan must take the code-column path exactly when its
+        /// decade span is dense, and the interning fallback otherwise.
+        /// Checked through the in-process merge, through each partial's
+        /// wire round trip, and with a run of shards first collapsed by
         /// `merge_to_partial` (a multi-region backend's `?partial=1`) and
         /// sent over the wire.
         #[test]
@@ -2192,7 +2316,10 @@ mod tests {
             budget in proptest::option::of(0.0f64..400.0),
             top in proptest::option::of(1usize..6),
             run in (0usize..5, 0usize..5),
+            risk_only in 0u8..4,
+            bare in 0u8..16,
         ) {
+            let risk_only = risk_only == 0;
             let score_of = |p: usize| [0.9, 0.5, 0.0, -0.0][p];
             let length_of = |l: usize| [0.0, -0.0, 12.5, 7.25, 100.0][l];
             let year_of = |regime: u8, raw: i32| match regime {
@@ -2201,25 +2328,30 @@ mod tests {
                 2 => raw.rem_euclid(100_000) * 10,
                 _ => [i32::MIN, i32::MAX, raw][raw.rem_euclid(3) as usize],
             };
-            let shards: Vec<Scorer> = tables
+            let rows: Vec<Vec<(f64, f64, u8, i32)>> = tables
+                .iter()
+                .map(|(regime, rows)| {
+                    rows.iter()
+                        .map(|&(p, l, m, raw)| (score_of(p), length_of(l), m, year_of(*regime, raw)))
+                        .collect()
+                })
+                .collect();
+            let shards: Vec<Scorer> = rows
                 .iter()
                 .enumerate()
-                .map(|(s, (regime, rows))| {
-                    let rows: Vec<(f64, f64, u8, i32)> = rows
-                        .iter()
-                        .map(|&(p, l, m, raw)| (score_of(p), length_of(l), m, year_of(*regime, raw)))
-                        .collect();
-                    attribute_shard(&format!("Region {s}"), &rows)
-                })
+                .map(|(s, rows)| shard_from_rows(&format!("Region {s}"), rows, !(risk_only && bare & (1 << s) != 0)))
                 .collect();
 
             let orders = [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];
             let all_keys = [GroupKey::Region, GroupKey::Material, GroupKey::Decade];
             let mut spec = AggregateSpec::new();
             for k in orders[keys.1] {
-                if keys.0 & (1 << k) != 0 {
+                if keys.0 & (1 << k) != 0 && !(risk_only && k != 0) {
                     spec = spec.group_by(all_keys[k]);
                 }
+            }
+            if spec.group_by.is_empty() {
+                spec = spec.group_by(GroupKey::Region);
             }
             let columns = [
                 (AggOp::Count, None),
@@ -2234,13 +2366,29 @@ mod tests {
             ];
             for i in 0..columns.len() {
                 let (op, field) = columns[(first + i) % columns.len()];
-                spec = spec.aggregate(op, field);
+                if !(risk_only && field == Some(AggField::LengthM)) {
+                    spec = spec.aggregate(op, field);
+                }
             }
-            if let Some(b) = budget { spec = spec.with_budget(b); }
+            if let Some(b) = budget.filter(|_| !risk_only) { spec = spec.with_budget(b); }
             if let Some(t) = top { spec = spec.with_top_groups(t); }
 
             let expected = string_keyed_reference(&spec, &shards);
             prop_assert_eq!(&execute(&spec, &shards).expect("kernel"), &expected);
+
+            if spec.budget_length_m.is_none() {
+                let dims = Dims::of(&spec);
+                for (shard, rows) in shards.iter().zip(&rows) {
+                    let decades = rows.iter().map(|r| i64::from(r.3.div_euclid(10)));
+                    let span = match (decades.clone().min(), decades.max()) {
+                        (Some(lo), Some(hi)) if dims.decade => (hi - lo + 1) as u64,
+                        _ => 1,
+                    };
+                    let materials = if dims.material { Material::ALL.len() as u64 } else { 1 };
+                    let dense = matches!(scan(&spec, shard).layout, Layout::Dense { .. });
+                    prop_assert_eq!(dense, materials * span <= DENSE_SLOTS);
+                }
+            }
 
             let partials: Vec<AggregatePartial> =
                 shards.iter().map(|s| shard_partial(&spec, s).expect("partial")).collect();

@@ -443,8 +443,6 @@ struct BackendReply {
 #[derive(Debug)]
 pub struct Federation {
     fleet: Fleet<Remote>,
-    /// One scatter thread per backend.
-    pool: TaskPool,
     config: Arc<FedConfig>,
 }
 
@@ -487,8 +485,7 @@ impl Federation {
             backends.push((key.clone(), Remote::new(key, addr, Arc::clone(&config))));
         }
         let fleet = Fleet::assemble(backends)?;
-        let pool = TaskPool::new(fleet.len());
-        Ok(Self { fleet, pool, config })
+        Ok(Self { fleet, config })
     }
 
     /// Region keys in routing order (sorted).
@@ -1056,8 +1053,11 @@ impl Topology for Federation {
         &self.fleet
     }
 
+    /// Remote legs take a thread each in the fleet scatter; nothing here
+    /// fans out on a pool.
     fn pool(&self) -> &TaskPool {
-        &self.pool
+        const SERIAL: &TaskPool = &TaskPool::serial();
+        SERIAL
     }
 
     /// The front-end's own readiness: 200 while no backend is `Down`, a

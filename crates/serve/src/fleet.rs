@@ -20,7 +20,7 @@
 //!
 //! A local member's legs run inline on the request's worker thread (the
 //! `/aggregate` scans fan out on the context `TaskPool`); a remote
-//! member's legs are network round trips, one pool thread per backend.
+//! member's legs are network round trips, one scoped thread per backend.
 //!
 //! ## The degrade policy
 //!
@@ -90,8 +90,8 @@ pub(crate) enum Miss {
 /// The seam between the fleet engine and one member: an in-process shard
 /// or a remote backend host.
 pub(crate) trait Backend: Send + Sync + 'static {
-    /// Whether this member's legs are network round trips (scattered on
-    /// the pool, one thread per member) rather than in-memory reads.
+    /// Whether this member's legs are network round trips (scattered one
+    /// thread per member) rather than in-memory reads.
     const REMOTE: bool;
 
     /// Monotonic generation of everything this member can answer; the
@@ -229,9 +229,11 @@ impl<B> Fleet<B> {
         self.members.iter().map(|m| m.generation()).sum()
     }
 
-    /// Run `leg` on every member, results in fleet order. Remote legs, and
-    /// local ones marked `heavy`, fan out on `pool`; light local legs run
-    /// inline on the calling thread.
+    /// Run `leg` on every member, results in fleet order. Local legs
+    /// marked `heavy` fan out on `pool`; light local legs run inline on the
+    /// calling thread. Remote legs wait on the network, not a core, so each
+    /// gets a thread of its own: on the core-capped `pool` one backend's
+    /// round trip would queue behind another's.
     fn scatter<T: Send>(
         &self,
         pool: &TaskPool,
@@ -241,7 +243,16 @@ impl<B> Fleet<B> {
     where
         B: Backend,
     {
-        if B::REMOTE || heavy {
+        if B::REMOTE && self.len() > 1 {
+            let leg = &leg;
+            std::thread::scope(|scope| {
+                let legs: Vec<_> =
+                    self.members.iter().map(|m| scope.spawn(move || leg(m))).collect();
+                legs.into_iter()
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            })
+        } else if heavy {
             pool.run(self.len(), |i| leg(&self.members[i]))
         } else {
             self.members.iter().map(leg).collect()

@@ -593,6 +593,10 @@ impl Metrics {
             "pipefail_cache_resident_bytes {}\n",
             self.cache_resident_bytes()
         ));
+        if let Some(threads) = process_threads() {
+            out.push_str("# TYPE pipefail_process_threads gauge\n");
+            out.push_str(&format!("pipefail_process_threads {threads}\n"));
+        }
         if self.federated {
             out.push_str("# TYPE pipefail_fed_retries_total counter\n");
             out.push_str(&format!(
@@ -658,9 +662,35 @@ impl Metrics {
     }
 }
 
+/// The process's live OS threads (event loop, request workers, task-pool
+/// workers, federation attempts), read from `/proc/self/status` at render
+/// time; `None` where procfs is absent.
+fn process_threads() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    status.lines().find_map(|l| l.strip_prefix("Threads:"))?.trim().parse().ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn render_reports_the_live_thread_count() {
+        let (hold, parked) = std::sync::mpsc::channel::<()>();
+        let extra = std::thread::spawn(move || parked.recv().ok());
+        let text = Metrics::new().render();
+        assert!(text.contains("# TYPE pipefail_process_threads gauge\n"), "{text}");
+        let threads: u64 = text
+            .lines()
+            .find_map(|l| l.strip_prefix("pipefail_process_threads "))
+            .and_then(|v| v.parse().ok())
+            .expect("one integer pipefail_process_threads sample");
+        // At least this test's thread and the parked one.
+        assert!(threads >= 2, "{threads}");
+        drop(hold);
+        extra.join().expect("parked thread exits");
+    }
 
     #[test]
     fn observe_counts_routes_statuses_and_buckets() {

@@ -29,6 +29,7 @@
 #[cfg(target_endian = "big")]
 compile_error!("pipefail-serve reads snapshot columns in place and needs a little-endian target");
 
+use crate::aggregate::GroupCodes;
 use crate::sys;
 use pipefail_core::model::RiskRanking;
 use pipefail_core::snapshot::{
@@ -41,7 +42,7 @@ use pipefail_par::TaskPool;
 use std::io::Read;
 use std::ops::Range;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One pipe's served risk: its score and its position in the ranking
 /// (rank 0 = riskiest).
@@ -277,6 +278,8 @@ struct Columns {
     /// Attributes decoded from the summary blob when the writer did *not*
     /// extract columns.
     owned_attrs: Option<OwnedAttrs>,
+    /// The `/aggregate` kernel's integer group codes, derived on first use.
+    codes: OnceLock<GroupCodes>,
 }
 
 impl Columns {
@@ -364,7 +367,7 @@ impl Scorer {
             region,
             seed: layout.seed,
             format,
-            cols: Arc::new(Columns { bytes, layout, owned_attrs }),
+            cols: Arc::new(Columns { bytes, layout, owned_attrs, codes: OnceLock::new() }),
         })
     }
 
@@ -465,6 +468,15 @@ impl Scorer {
             }),
             (None, None) => None,
         }
+    }
+
+    /// The attribute columns as the `/aggregate` kernel's integer group
+    /// codes, or `None` without attributes. Derived by the first caller and
+    /// then shared by every clone of this scorer; load and reload never
+    /// pay for them.
+    pub(crate) fn group_codes(&self) -> Option<&GroupCodes> {
+        let (_, material, laid_year) = self.attributes()?.columns();
+        Some(self.cols.codes.get_or_init(|| GroupCodes::derive(material, laid_year)))
     }
 
     /// One-line identity used in logs ("which model is this process
@@ -655,6 +667,38 @@ mod tests {
         ] {
             assert!(attach(length, material, year).attributes().is_none());
         }
+    }
+
+    #[test]
+    fn group_codes_wait_for_the_first_grouped_scan_and_are_shared_by_clones() {
+        use crate::aggregate::{shard_partial, AggregateSpec};
+        use pipefail_core::snapshot::attributes_section;
+
+        let mut snap = snapshot();
+        let n = snap.scores.len();
+        snap.push_section(attributes_section(
+            vec![10.0; n],
+            (0..n).map(|i| (i % 9) as f64).collect(),
+            (0..n).map(|i| 1900.0 + i as f64).collect(),
+        ));
+        let s = Scorer::new(snap);
+        let spec = |json: &str| AggregateSpec::parse(json).expect("valid spec");
+        let region = spec(r#"{"group_by":["region"],"aggregates":[{"op":"count"}]}"#);
+        let budget = spec(
+            r#"{"group_by":["region"],"aggregates":[{"op":"count"}],"budget":{"length_m":50}}"#,
+        );
+        s.top_k(10);
+        shard_partial(&region, &s).expect("region scan");
+        shard_partial(&budget, &s).expect("budget walk");
+        assert!(s.cols.codes.get().is_none(), "only a material or decade scan derives codes");
+
+        let clone = s.clone();
+        let material = spec(r#"{"group_by":["material"],"aggregates":[{"op":"count"}]}"#);
+        shard_partial(&material, &clone).expect("material scan");
+        let derived = s.cols.codes.get().expect("derived by the clone's scan");
+        assert!(std::ptr::eq(derived, s.group_codes().expect("attributes")));
+
+        assert!(scorer().group_codes().is_none(), "no attributes, no codes");
     }
 
     #[test]

@@ -5,13 +5,18 @@
 //! (inode-backed) for as long as any in-flight request can hold the old
 //! scorer, then actually disappears from the address space once the last
 //! `Arc<Scorer>` drops — no use-after-unmap, no mapping leak.
+//! The two snapshots also carry attribute sections with disjoint year
+//! ranges, and the clients interleave decade-grouped `/aggregate` scans:
+//! the integer group codes a scan derives belong to one snapshot, so a
+//! scan after the swap must answer the new decades, never a blend.
 
 mod common;
 
-use common::{one_file_context, Conn};
+use common::{one_file_context, post_request, Conn};
 use pipefail_core::model::{RiskRanking, RiskScore};
-use pipefail_core::snapshot::{Snapshot, SnapshotFormat};
+use pipefail_core::snapshot::{attributes_section, Snapshot, SnapshotFormat};
 use pipefail_network::ids::PipeId;
+use pipefail_serve::aggregate::{execute, AggregateSpec};
 use pipefail_serve::http::render_top_k;
 use pipefail_serve::{serve, Scorer, ServerConfig};
 use std::path::PathBuf;
@@ -29,6 +34,26 @@ fn snapshot(n: u32, base: f64, seed: u64) -> Snapshot {
             .collect(),
     );
     Snapshot::new("DPMHBP", "Region A", seed, &ranking)
+}
+
+/// [`snapshot`] plus an attribute section whose construction years span
+/// `first_year .. first_year + 10 × decades`.
+fn attributed(n: u32, base: f64, seed: u64, first_year: u32, decades: u32) -> Snapshot {
+    let mut snap = snapshot(n, base, seed);
+    snap.push_section(attributes_section(
+        (0..n).map(|i| 5.0 + f64::from(i % 11)).collect(),
+        (0..n).map(|i| f64::from(i % 9)).collect(),
+        (0..n).map(|i| f64::from(first_year + (i % decades) * 10)).collect(),
+    ));
+    snap
+}
+
+/// The scan the remap clients interleave with `/top`.
+const DECADE_SCAN: &str = r#"{"group_by":["material","decade"],"aggregates":[{"op":"count"},{"op":"sum","field":"length_m"},{"op":"max","field":"risk"}]}"#;
+
+fn decade_scan(snap: &Snapshot) -> String {
+    let spec = AggregateSpec::parse(DECADE_SCAN).expect("valid spec");
+    execute(&spec, &[Scorer::new(snap.clone())]).expect("attributed snapshot scans")
 }
 
 fn temp_path(name: &str) -> PathBuf {
@@ -61,9 +86,12 @@ fn is_mapped(path: &std::path::Path) -> bool {
 #[cfg(target_os = "linux")]
 fn remap_under_load_loses_zero_requests() {
     let path = temp_path("swap.pfsnap");
-    let snap_a = snapshot(400, 1.0, 0);
-    let snap_b = snapshot(400, 9.0, 1); // different scores AND pipe order
+    // Different scores AND pipe order, and disjoint decades.
+    let snap_a = attributed(400, 1.0, 0, 1900, 12);
+    let snap_b = attributed(400, 9.0, 1, 1750, 7);
     publish(&snap_a, &path);
+    let (scan_a, scan_b) = (decade_scan(&snap_a), decade_scan(&snap_b));
+    assert!(scan_a.contains("\"1900s\"") && scan_b.contains("\"1750s\""));
 
     let ctx = one_file_context(&path);
     let scorer = ctx.scorer();
@@ -73,7 +101,10 @@ fn remap_under_load_loses_zero_requests() {
     let reference_b = render_top_k(&Scorer::new(snap_b.clone()), 12);
     assert_ne!(reference_a, reference_b, "the swap must be observable");
 
-    let config = ServerConfig { reload_poll_secs: 0.05, ..ServerConfig::default() };
+    // No per-connection request cap: each client holds one connection
+    // for the whole test.
+    let config =
+        ServerConfig { reload_poll_secs: 0.05, keepalive_requests: 0, ..ServerConfig::default() };
     let handle = serve(ctx, &config).expect("server starts");
     let addr = handle.addr();
 
@@ -83,11 +114,20 @@ fn remap_under_load_loses_zero_requests() {
     let clients: Vec<_> = (0..3)
         .map(|c| {
             let (a, b) = (reference_a.clone(), reference_b.clone());
+            let (scan_a, scan_b) = (scan_a.clone(), scan_b.clone());
             let (saw_old, saw_new, stop) = (saw_old.clone(), saw_new.clone(), stop.clone());
-            std::thread::spawn(move || -> (u64, u64) {
+            std::thread::spawn(move || -> (u64, u64, u64) {
                 let mut conn = Conn::connect(addr);
-                let (mut olds, mut news) = (0u64, 0u64);
+                let (mut olds, mut news, mut new_scans) = (0u64, 0u64, 0u64);
                 while !stop.load(Ordering::SeqCst) {
+                    conn.send(&post_request("/aggregate", DECADE_SCAN, true));
+                    let scan = conn.read_response();
+                    assert_eq!(scan.status, 200, "client {c}: scan failed: {}", scan.body);
+                    if scan.body == scan_b {
+                        new_scans += 1;
+                    } else if scan.body != scan_a {
+                        panic!("client {c}: blended scan served: {}", scan.body);
+                    }
                     let response = conn.get("/top?k=12");
                     // Zero failed requests across the remap, on every
                     // client, on every poll.
@@ -103,7 +143,7 @@ fn remap_under_load_loses_zero_requests() {
                     }
                     std::thread::sleep(Duration::from_millis(2));
                 }
-                (olds, news)
+                (olds, news, new_scans)
             })
         })
         .collect();
@@ -125,8 +165,9 @@ fn remap_under_load_loses_zero_requests() {
     std::thread::sleep(Duration::from_millis(100));
     stop.store(true, Ordering::SeqCst);
     for (c, client) in clients.into_iter().enumerate() {
-        let (olds, news) = client.join().expect("client thread panicked");
+        let (olds, news, new_scans) = client.join().expect("client thread panicked");
         assert!(news > 0, "client {c} never reached the new ranking ({olds} old polls)");
+        assert!(new_scans > 0, "client {c} never scanned the new decades");
     }
 
     let metrics = handle.metrics();
